@@ -160,6 +160,7 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
         raise click.ClickException(f"hurst_regression failed: {exc}") from exc
     _write_atomic(outdir / "hurst_pointwise.csv", hres.pointwise_csv())
     summary["h_regression"] = _g12(hres.h_regression)
+    summary["h_regression_r2"] = _g12(hres.h_r2)
     summary["fractal_dim"] = _g12(hres.fractal_dim)
 
     # Return map needs coordinates in [0,1]; rank-map anything else.

@@ -8,8 +8,10 @@ residual D(n) is fit as a power law D(n) ~ n^alpha in log-log scale.
 R/S: S is the population standard deviation, X(n) the running sum of mean
 deviations, R = max X - min X. The pointwise Hurst estimate for a prefix of
 length N is ln(R/S) / ln(N/2); the regression estimate fits log of the
-block-averaged R/S against log of the block size. The associated fractal
-dimension of a self-affine record is 2 - H.
+block-averaged R/S against log of the block size. For each block size w the
+series is viewed as an (nblk, w) array of non-overlapping blocks and R/S is
+computed row-wise in one pass; a prefix is the one-row case. The associated
+fractal dimension of a self-affine record is 2 - H.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class HurstResult:
     fractal_dim: float
     rs_windows: np.ndarray
     rs_means: np.ndarray
+    h_r2: float
     skipped_prefixes: tuple[int, ...] = ()
 
     def pointwise_csv(self) -> str:
@@ -71,21 +74,27 @@ def profile(series) -> np.ndarray:
     return np.cumsum(x - x.mean())
 
 
-def local_trend(segment) -> TrendCoefficients:
-    """OLS line through (k, y_k) for k = 1..n, via the closed normal-equation forms."""
-    y = np.asarray(segment, dtype=float)
-    n = y.size
-    if n < 2:
-        raise ValueError("local_trend needs at least 2 points")
+def _line_fit(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row OLS line a*k + b through (k, y_k), k = 1..n, from the closed normal equations."""
+    n = rows.shape[1]
     k = np.arange(1, n + 1, dtype=float)
     sk = k.sum()
     skk = (k * k).sum()
-    sy = y.sum()
-    sky = (k * y).sum()
     denom = n * skk - sk * sk
+    sy = rows.sum(axis=1)
+    sky = rows @ k
     a = (n * sky - sk * sy) / denom
     b = (sy * skk - sk * sky) / denom
-    return TrendCoefficients(a=float(a), b=float(b))
+    return a, b
+
+
+def local_trend(segment) -> TrendCoefficients:
+    """OLS line through (k, y_k) for k = 1..n: the one-row case of the DFA detrend."""
+    y = np.asarray(segment, dtype=float)
+    if y.size < 2:
+        raise ValueError("local_trend needs at least 2 points")
+    a, b = _line_fit(y[None, :])
+    return TrendCoefficients(a=float(a[0]), b=float(b[0]))
 
 
 def default_dfa_windows(n_points: int) -> np.ndarray:
@@ -97,30 +106,22 @@ def default_dfa_windows(n_points: int) -> np.ndarray:
     return grid[(grid >= 4) & (grid <= hi)]
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """OLS slope and R^2 of log10(y) against log10(x)."""
-    lx = np.log10(x)
-    ly = np.log10(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(((ly - pred) ** 2).sum())
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """OLS slope, intercept and R^2 of y against x."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(((y - pred) ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
+    return float(slope), float(intercept), r2
 
 
 def _segment_residuals(prof: np.ndarray, n: int) -> np.ndarray:
     """Residuals of per-segment linear detrending, one row per retained segment."""
     nseg = prof.size // n
     seg = prof[: nseg * n].reshape(nseg, n)
+    a, b = _line_fit(seg)
     k = np.arange(1, n + 1, dtype=float)
-    sk = k.sum()
-    skk = (k * k).sum()
-    denom = n * skk - sk * sk
-    sy = seg.sum(axis=1)
-    sky = seg @ k
-    a = (n * sky - sk * sy) / denom
-    b = (sy * skk - sk * sky) / denom
     return seg - (np.outer(a, k) + b[:, None])
 
 
@@ -149,8 +150,22 @@ def dfa(series, windows=None) -> FluctuationCurve:
         d[i] = np.sqrt(np.mean(resid**2))
     if np.any(d == 0.0):
         raise DegenerateSeriesError("zero fluctuation at some window; log fit undefined")
-    alpha, r2 = _loglog_fit(windows.astype(float), d)
+    alpha, _, r2 = _ols(np.log10(windows.astype(float)), np.log10(d))
     return FluctuationCurve(windows=windows, d=d, alpha=alpha, alpha_r2=r2)
+
+
+def _rescaled_ranges(blocks: np.ndarray) -> np.ndarray:
+    """R/S of every row of a 2-D block array, leaving out rows with S == 0.
+
+    The row-mean deviations are formed once and feed both S (population form)
+    and the running sums whose range is R.
+    """
+    dev = blocks - blocks.mean(axis=1, keepdims=True)
+    s = np.sqrt(np.mean(dev * dev, axis=1))
+    cum = np.cumsum(dev, axis=1)
+    r = cum.max(axis=1) - cum.min(axis=1)
+    usable = s != 0.0
+    return r[usable] / s[usable]
 
 
 def rs_statistic(series) -> float:
@@ -158,12 +173,10 @@ def rs_statistic(series) -> float:
     x = np.asarray(series, dtype=float)
     if x.size < 2:
         raise ValueError("rs_statistic needs at least 2 points")
-    s = float(x.std())  # population form (divide by N)
-    if s == 0.0:
+    rs = _rescaled_ranges(x[None, :])
+    if rs.size == 0:
         raise DegenerateSeriesError("degenerate series: zero standard deviation")
-    cum = np.cumsum(x - x.mean())
-    r = float(cum.max() - cum.min())
-    return r / s
+    return float(rs[0])
 
 
 def default_prefix_grid(n_points: int) -> np.ndarray:
@@ -212,7 +225,9 @@ def hurst_regression(series, windows=None) -> HurstResult:
     """Multi-window R/S regression estimate of the Hurst index.
 
     For each block size w the R/S statistic is averaged over the floor(N/w)
-    non-overlapping blocks; H is the OLS slope of log(mean R/S) vs log(w).
+    non-overlapping blocks, leaving out blocks with S == 0; a window with no
+    usable block is dropped. H is the OLS slope of log(mean R/S) vs log(w),
+    and h_r2 the R^2 of that fit.
     """
     x = np.asarray(series, dtype=float)
     if x.size < 64:
@@ -220,28 +235,22 @@ def hurst_regression(series, windows=None) -> HurstResult:
     if windows is None:
         windows = default_rs_windows(x.size)
     windows = np.unique(np.asarray(windows, dtype=int))
+    if windows.size and (windows[0] < 2 or windows[-1] > x.size):
+        raise ValueError("R/S windows must satisfy 2 <= w <= N")
     used_w: list[int] = []
     means: list[float] = []
     for w in windows:
         w = int(w)
         nblk = x.size // w
-        if nblk < 1 or w < 2:
-            continue
-        vals = []
-        for b in range(nblk):
-            blk = x[b * w : (b + 1) * w]
-            try:
-                vals.append(rs_statistic(blk))
-            except DegenerateSeriesError:
-                continue
-        if vals:
+        vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w))
+        if vals.size:
             used_w.append(w)
             means.append(float(np.mean(vals)))
     if len(used_w) < 4:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 usable windows")
     w_arr = np.asarray(used_w, dtype=float)
     m_arr = np.asarray(means)
-    h, _ = _loglog_fit(w_arr, m_arr)
+    h, _, r2 = _ols(np.log10(w_arr), np.log10(m_arr))
     points, skipped = hurst_pointwise(x)
     return HurstResult(
         pointwise=tuple(points),
@@ -249,5 +258,6 @@ def hurst_regression(series, windows=None) -> HurstResult:
         fractal_dim=2.0 - h,
         rs_windows=w_arr,
         rs_means=m_arr,
+        h_r2=r2,
         skipped_prefixes=tuple(skipped),
     )

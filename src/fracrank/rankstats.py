@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fracrank.fractal import _ols
+
 
 class RankStatsError(ValueError):
     """Raised on inadmissible inputs to rank/return-map statistics."""
@@ -50,15 +52,6 @@ class OccupancyReport:
     chi2_uniform: float
 
 
-def _ols_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
-
-
 def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
     """Fit ln(value) against rank and against ln(rank) after trimming both ends.
 
@@ -81,8 +74,8 @@ def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
         raise RankStatsError("nonpositive value inside the trimmed window")
     ranks = np.arange(t + 1, t + n_used + 1, dtype=float)
     ln_v = np.log(window)
-    semi_slope, semi_r2 = _ols_r2(ranks, ln_v)
-    log_slope, log_r2 = _ols_r2(np.log(ranks), ln_v)
+    semi_slope, _, semi_r2 = _ols(ranks, ln_v)
+    log_slope, _, log_r2 = _ols(np.log(ranks), ln_v)
     return ZipfFit(
         trim_fraction=trim_fraction,
         semilog_slope=semi_slope,

@@ -82,6 +82,7 @@ class TestAnalyze:
         summary = json.loads((adir / "summary.json").read_text())
         assert abs(summary["h_regression"] - 0.8) < 0.15  # single seed, loose
         assert summary["fractal_dim"] == pytest.approx(2 - summary["h_regression"])
+        assert 0.0 < summary["h_regression_r2"] <= 1.0
         assert summary["poincare_cdf_mapped"] is True
         assert "zipf_error" in summary  # fGn has negative values
 
@@ -106,6 +107,19 @@ class TestAnalyze:
                                       "--out", str(tmp_path / "a")])
         assert result.exit_code != 0
         assert "dfa" in result.output
+
+    @pytest.mark.parametrize("windows", ["0,16,32,64,128", "-16,16,32,64,128",
+                                         "1,16,32,64,128", "16,32,64,128,257"])
+    def test_invalid_rs_windows_clean_error(self, runner, tmp_path, windows):
+        sdir = tmp_path / "s"
+        run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
+                        "--out", str(sdir)])
+        result = runner.invoke(main, ["analyze", "--series", str(sdir / "series.csv"),
+                                      "--rs-windows", windows, "--out", str(tmp_path / "a")],
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "R/S windows must satisfy 2 <= w <= N" in result.output
+        assert "Traceback" not in result.output
 
     def test_requires_exactly_one_input(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--out", str(tmp_path)])

@@ -40,6 +40,61 @@ def naive_dfa_d(series, window):
     return math.sqrt(np.mean(sq))
 
 
+def naive_rs_means(series, windows):
+    """Reference R/S curve: rs_statistic on every block, degenerate blocks skipped.
+
+    A window whose blocks are all degenerate is dropped, as is one with no block.
+    """
+    x = np.asarray(series, dtype=float)
+    used, means = [], []
+    for w in windows:
+        vals = []
+        for b in range(x.size // w):
+            try:
+                vals.append(rs_statistic(x[b * w : (b + 1) * w]))
+            except DegenerateSeriesError:
+                continue
+        if vals:
+            used.append(w)
+            means.append(np.mean(vals))
+    return np.asarray(used, dtype=float), np.asarray(means)
+
+
+def assert_matches_naive_rs(x, windows):
+    used, means = naive_rs_means(x, sorted(set(windows)))
+    if used.size < 4:
+        with pytest.raises(DegenerateSeriesError, match="insufficient scaling range"):
+            hurst_regression(x, windows=windows)
+        return
+    res = hurst_regression(x, windows=windows)
+    np.testing.assert_array_equal(res.rs_windows, used)
+    np.testing.assert_allclose(res.rs_means, means, rtol=1e-12, atol=0)
+    h = np.polyfit(np.log10(used), np.log10(means), 1)[0]
+    np.testing.assert_allclose(res.h_regression, h, rtol=1e-12, atol=0)
+
+
+@st.composite
+def series_with_constant_stretches(draw):
+    """Constant stretches alternating with random ones, starting with a constant one.
+
+    Every stretch has at least 16 values, so any window <= 8 has degenerate blocks.
+    """
+    pieces = draw(st.lists(st.tuples(st.integers(16, 96), st.floats(-1e3, 1e3)),
+                           min_size=4, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.concatenate([
+        np.full(n, v) if i % 2 == 0 else v + rng.standard_normal(n)
+        for i, (n, v) in enumerate(pieces)
+    ])
+
+
+def windows_for(data, n_points):
+    """One short window (2..8) plus three to nine anywhere in [2, N]."""
+    short = data.draw(st.integers(2, 8))
+    rest = data.draw(st.lists(st.integers(2, n_points), min_size=3, max_size=9))
+    return [short] + rest
+
+
 class TestProfile:
     def test_constant_series(self):
         np.testing.assert_allclose(profile([5.0] * 4), [0, 0, 0, 0], atol=1e-15)
@@ -154,6 +209,14 @@ class TestRsStatistic:
         with pytest.raises(DegenerateSeriesError, match="degenerate"):
             rs_statistic([2.0, 2.0, 2.0])
 
+    @given(finite_series)
+    def test_matches_textbook_formula(self, x):
+        s = x.std()
+        if s == 0.0:
+            return
+        cum = np.cumsum(x - x.mean())
+        assert rs_statistic(x) == pytest.approx((cum.max() - cum.min()) / s, rel=1e-12)
+
     @given(finite_series, st.floats(min_value=-100, max_value=100),
            st.floats(min_value=0.01, max_value=100))
     @settings(max_examples=50)
@@ -214,3 +277,43 @@ class TestHurstRegression:
     def test_fractal_dim_identity(self):
         r = hurst_regression(white_noise(1024, 7))
         assert r.fractal_dim == 2.0 - r.h_regression
+
+    def test_fit_r2_reported(self):
+        r = hurst_regression(fgn(8192, 0.8, 0))
+        assert 0.9 < r.h_r2 <= 1.0
+
+    @pytest.mark.parametrize("bad", [0, -16, 1, 257])
+    def test_window_bounds_enforced(self, bad):
+        with pytest.raises(ValueError, match="2 <= w <= N"):
+            hurst_regression(white_noise(256, 0), windows=[bad, 16, 32, 64, 128])
+
+    def test_window_of_whole_series_allowed(self):
+        r = hurst_regression(white_noise(256, 0), windows=[16, 32, 64, 256])
+        np.testing.assert_array_equal(r.rs_windows, [16, 32, 64, 256])
+
+    @given(npst.arrays(np.float64, st.integers(64, 600),
+                       elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_on_random_series(self, x, data):
+        assert_matches_naive_rs(x, windows_for(data, x.size))
+
+    @given(series_with_constant_stretches(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_with_degenerate_blocks(self, x, data):
+        assert_matches_naive_rs(x, windows_for(data, x.size))
+
+    @given(st.sampled_from([2, 4, 8]),
+           st.lists(st.floats(0.5, 10.0), min_size=32, max_size=64), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_all_degenerate_window_dropped(self, run, steps, data):
+        # Constant runs of length `run` with strictly increasing levels: every
+        # block of size `run` has S == 0, every longer block spans two levels.
+        x = np.repeat(np.cumsum(steps), run)
+        longer = [run * m for m in (2, 4, 8, 16)]
+        extra = data.draw(st.lists(st.integers(run + 1, x.size), max_size=4))
+        windows = [run] + longer + extra
+        r = hurst_regression(x, windows=windows)
+        assert run not in r.rs_windows
+        assert set(longer) <= set(r.rs_windows)
+        assert_matches_naive_rs(x, windows)
