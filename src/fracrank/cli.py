@@ -1,23 +1,22 @@
 """Batch CLI: score a corpus, analyze a sequence, generate synthetic series.
 
 Every run writes a ``manifest.json`` echoing the fully resolved configuration;
-``fracrank rerun MANIFEST --out DIR`` reproduces the run byte-for-byte. All
-file writes are atomic (temp file + rename) and all numeric output uses 12
-significant digits with locale-independent formatting.
+``fracrank rerun MANIFEST --out DIR`` reproduces the run byte-for-byte. A run
+computes everything before it writes its first file, so a failed run writes
+nothing. Each file write is atomic (temp file + rename); tables use the one
+CSV dialect of ``fracrank.table`` and JSON rejects non-finite numbers.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
 import numpy as np
 
-from fracrank.corpus import CorpusError, Query, ingest_jsonl_path
+from fracrank.corpus import Query, ingest_jsonl_path
 from fracrank.fractal import (
     DegenerateSeriesError,
     dfa,
@@ -30,13 +29,7 @@ from fracrank.rankstats import (
     poincare_map,
     zipf_fit,
 )
-from fracrank.relevance import (
-    Measure,
-    RelevanceError,
-    RelevanceTable,
-    mutual_sequence,
-    score_corpus,
-)
+from fracrank.relevance import Measure, RelevanceTable, mutual_sequence, score_corpus
 from fracrank.synth import (
     GeneratorSpec,
     SynthError,
@@ -44,6 +37,7 @@ from fracrank.synth import (
     read_series_csv,
     write_series_csv,
 )
+from fracrank.table import write_atomic
 
 OUT_ENV_VAR = "FRACRANK_OUT"
 
@@ -94,46 +88,39 @@ def _g12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def _json(record: dict, indent: int | None = None) -> str:
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        return json.dumps(record, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"non-finite value in JSON output: {exc}") from exc
 
 
-def _write_manifest(outdir: Path, command: str, config) -> None:
-    record = {"command": command, "config": asdict(config)}
-    _write_atomic(outdir / "manifest.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
+def _manifest(command: str, config) -> str:
+    return _json({"command": command, "config": asdict(config)}, indent=2)
 
 
 def run_score(cfg: ScoreConfig, outdir: Path) -> None:
     corpus = ingest_jsonl_path(cfg.corpus)
     query = Query.from_string(cfg.query)
     table = score_corpus(corpus, query)
-    _write_atomic(outdir / "scores.csv", table.to_csv())
-    summary = {
+    summary = _json({
         "n_documents": corpus.size,
         "n_terms": len(query.terms),
         "n_zero_score": int(table.zero_score.sum()),
-    }
-    _write_atomic(outdir / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
-    _write_manifest(outdir, "score", cfg)
+    })
+    manifest = _manifest("score", cfg)
+    write_atomic(outdir / "scores.csv", table.to_csv())
+    write_atomic(outdir / "summary.json", [summary])
+    write_atomic(outdir / "manifest.json", [manifest])
 
 
 def _load_sequence(cfg: AnalyzeConfig) -> np.ndarray:
     if (cfg.scores is None) == (cfg.series is None):
         raise click.UsageError("exactly one of --scores or --series is required")
     if cfg.series is not None:
-        return read_series_csv(Path(cfg.series).read_text(encoding="utf-8"))
-    table = RelevanceTable.from_csv(Path(cfg.scores).read_text(encoding="utf-8"))
+        return read_series_csv(cfg.series)
     seq = mutual_sequence(
-        table,
+        RelevanceTable.from_csv(cfg.scores),
         ranked_by=Measure(cfg.ranked_by),
         read_off=Measure(cfg.read_off),
         include_zero_scores=cfg.include_zero_scores,
@@ -143,14 +130,12 @@ def _load_sequence(cfg: AnalyzeConfig) -> np.ndarray:
 
 def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     values = _load_sequence(cfg)
-    _write_atomic(outdir / "sequence.csv", write_series_csv(values))
     summary: dict = {"n_values": int(values.size)}
 
     try:
         curve = dfa(values, windows=cfg.dfa_windows)
     except DegenerateSeriesError as exc:
         raise click.ClickException(f"dfa failed: {exc}") from exc
-    _write_atomic(outdir / "dfa.csv", curve.to_csv())
     summary["alpha"] = _g12(curve.alpha)
     summary["alpha_r2"] = _g12(curve.alpha_r2)
 
@@ -158,7 +143,6 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
         hres = hurst_regression(values, windows=cfg.rs_windows)
     except DegenerateSeriesError as exc:
         raise click.ClickException(f"hurst_regression failed: {exc}") from exc
-    _write_atomic(outdir / "hurst_pointwise.csv", hres.pointwise_csv())
     summary["h_regression"] = _g12(hres.h_regression)
     summary["h_regression_r2"] = _g12(hres.h_r2)
     summary["fractal_dim"] = _g12(hres.fractal_dim)
@@ -167,7 +151,6 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
     map_values = empirical_cdf_map(values) if cdf_mapped else values
     pts = poincare_map(map_values)
-    _write_atomic(outdir / "poincare.csv", pts.to_csv())
     occ = occupancy_stats(pts, cfg.grid)
     summary["poincare_cdf_mapped"] = cdf_mapped
     summary["occupied_cells"] = occ.occupied_cells
@@ -184,8 +167,14 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     except RankStatsError as exc:
         summary["zipf_error"] = str(exc)
 
-    _write_atomic(outdir / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
-    _write_manifest(outdir, "analyze", cfg)
+    summary_json = _json(summary)
+    manifest = _manifest("analyze", cfg)
+    write_atomic(outdir / "sequence.csv", write_series_csv(values))
+    write_atomic(outdir / "dfa.csv", curve.to_csv())
+    write_atomic(outdir / "hurst_pointwise.csv", hres.pointwise_csv())
+    write_atomic(outdir / "poincare.csv", pts.to_csv())
+    write_atomic(outdir / "summary.json", [summary_json])
+    write_atomic(outdir / "manifest.json", [manifest])
 
 
 def _spec_from_config(cfg: SynthConfig) -> GeneratorSpec:
@@ -219,8 +208,9 @@ def run_synth(cfg: SynthConfig, outdir: Path) -> None:
         values = generate(spec)
     except SynthError as exc:
         raise click.UsageError(str(exc)) from exc
-    _write_atomic(outdir / "series.csv", write_series_csv(values))
-    _write_manifest(outdir, "synth", cfg)
+    manifest = _manifest("synth", cfg)
+    write_atomic(outdir / "series.csv", write_series_csv(values))
+    write_atomic(outdir / "manifest.json", [manifest])
 
 
 _RUNNERS = {
@@ -240,6 +230,14 @@ def _out_option(fn):
     )(fn)
 
 
+def _run(runner, cfg, out) -> None:
+    """Run a command; every fracrank error is a ValueError and exits 1 with its message."""
+    try:
+        runner(cfg, Path(out))
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
 @click.group()
 def main():
     """Relevance scoring and fractal sequence analysis pipeline."""
@@ -251,11 +249,7 @@ def main():
 @_out_option
 def score(corpus, query, out):
     """Score a line-delimited JSON corpus against a query; writes scores.csv."""
-    cfg = ScoreConfig(corpus=corpus, query=query)
-    try:
-        run_score(cfg, Path(out))
-    except (CorpusError, RelevanceError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    _run(run_score, ScoreConfig(corpus=corpus, query=query), out)
 
 
 @main.command()
@@ -283,10 +277,7 @@ def analyze(scores, series, ranked_by, read_off, trim, grid,
         dfa_windows=_parse_windows(dfa_windows),
         rs_windows=_parse_windows(rs_windows),
     )
-    try:
-        run_analyze(cfg, Path(out))
-    except (RelevanceError, RankStatsError, SynthError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    _run(run_analyze, cfg, out)
 
 
 def _parse_windows(text):
@@ -314,7 +305,7 @@ def synth(kind, length, seed, h, beta, noise, slope, intercept, out):
         kind=kind, length=length, seed=seed, h=h,
         beta=beta, noise=noise, slope=slope, intercept=intercept,
     )
-    run_synth(cfg, Path(out))
+    _run(run_synth, cfg, out)
 
 
 @main.command()
@@ -335,10 +326,7 @@ def rerun(manifest, out):
         cfg = config_cls(**raw)
     except TypeError as exc:
         raise click.ClickException(f"bad manifest config: {exc}") from exc
-    try:
-        runner(cfg, Path(out))
-    except (CorpusError, RelevanceError, RankStatsError, SynthError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    _run(runner, cfg, out)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,11 @@ fractal dimension of a self-affine record is 2 - H.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
+
+from fracrank.table import format_table
 
 
 class DegenerateSeriesError(ValueError):
@@ -42,10 +45,9 @@ class FluctuationCurve:
     alpha: float
     alpha_r2: float
 
-    def to_csv(self) -> str:
-        lines = ["n,d"]
-        lines += [f"{int(n)},{d:.12g}" for n, d in zip(self.windows, self.d)]
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> Iterator[str]:
+        """dfa.csv as text chunks: one (window, D) row per window."""
+        return format_table(("n", "d"), [self.windows, self.d])
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,10 @@ class HurstResult:
     h_r2: float
     skipped_prefixes: tuple[int, ...] = ()
 
-    def pointwise_csv(self) -> str:
-        lines = ["N,h"]
-        lines += [f"{n},{h:.12g}" for n, h in self.pointwise]
-        return "\n".join(lines) + "\n"
+    def pointwise_csv(self) -> Iterator[str]:
+        """hurst_pointwise.csv as text chunks: one (N, H(N)) row per prefix."""
+        n, h = np.array(self.pointwise, dtype=float).reshape(-1, 2).T
+        return format_table(("N", "h"), [n, h])
 
 
 def profile(series) -> np.ndarray:

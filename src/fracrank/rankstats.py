@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from fracrank.fractal import _ols
+from fracrank.table import format_pairs
+
+
+# 2^24 int64 cell counts are 128 MiB.
+MAX_GRID_CELLS = 1 << 24
 
 
 class RankStatsError(ValueError):
@@ -36,10 +42,9 @@ class PoincarePoints:
 
     points: np.ndarray  # shape (N-1, 2)
 
-    def to_csv(self) -> str:
-        lines = ["x,y"]
-        lines += [f"{x:.12g},{y:.12g}" for x, y in self.points]
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> Iterator[str]:
+        """poincare.csv as text chunks; each value of the sequence is formatted once."""
+        return format_pairs(("x", "y"), np.append(self.points[:, 0], self.points[-1, 1]))
 
 
 @dataclass(frozen=True)
@@ -99,14 +104,17 @@ def occupancy_stats(points: PoincarePoints, grid_size: int) -> OccupancyReport:
 
     A coordinate v lands in cell ceil(v*G), clamped to [1, G]; chi2_uniform is
     the chi-square statistic of the G^2 cell counts against the uniform
-    expectation P / G^2.
+    expectation P / G^2. G^2 may not exceed ``MAX_GRID_CELLS``, and every
+    coordinate must lie in [0, 1].
     """
     if grid_size < 1:
         raise RankStatsError("grid_size must be >= 1")
+    if grid_size**2 > MAX_GRID_CELLS:
+        raise RankStatsError(f"grid_size^2 must be <= {MAX_GRID_CELLS} cells")
     pts = points.points
     if pts.shape[0] < 1:
         raise RankStatsError("need at least one point")
-    if pts.min() < 0.0 or pts.max() > 1.0:
+    if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # also false for NaN
         raise RankStatsError("coordinates must lie in [0, 1]")
     g = grid_size
     ix = np.clip(np.ceil(pts[:, 0] * g).astype(int), 1, g) - 1

@@ -17,10 +17,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from fracrank.corpus import Corpus, Query, count_entries
+from fracrank.table import format_table, read_table
+
+
+_CSV_HEADER = ("id", "raw_f", "raw_q", "f", "q")
 
 
 class RelevanceError(ValueError):
@@ -57,39 +62,20 @@ class RelevanceTable:
     def scores(self, measure: Measure) -> np.ndarray:
         return self.f if measure is Measure.F else self.q
 
-    def to_csv(self) -> str:
-        """CSV export: header ``id,raw_f,raw_q,f,q``, rows in ingestion order."""
-        lines = ["id,raw_f,raw_q,f,q"]
-        for i, doc_id in enumerate(self.ids):
-            lines.append(
-                f"{doc_id},{self.raw_f[i]:.12g},{self.raw_q[i]:.12g},"
-                f"{self.f[i]:.12g},{self.q[i]:.12g}"
-            )
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> Iterator[str]:
+        """scores.csv as text chunks (``fracrank.table`` dialect), rows in ingestion order."""
+        return format_table(_CSV_HEADER, [self.ids, self.raw_f, self.raw_q, self.f, self.q])
 
     @classmethod
-    def from_csv(cls, text: str) -> "RelevanceTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "id,raw_f,raw_q,f,q":
-            raise RelevanceError("scores CSV must start with header 'id,raw_f,raw_q,f,q'")
-        ids, raw_f, raw_q, f, q = [], [], [], [], []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 5:
-                raise RelevanceError(f"bad scores row: {ln!r}")
-            ids.append(parts[0])
-            raw_f.append(float(parts[1]))
-            raw_q.append(float(parts[2]))
-            f.append(float(parts[3]))
-            q.append(float(parts[4]))
-        raw_f = np.asarray(raw_f)
-        raw_q = np.asarray(raw_q)
+    def from_csv(cls, path) -> "RelevanceTable":
+        """Read a scores.csv; the maxima and zero-score flags are recomputed from raw F and Q."""
+        ids, raw_f, raw_q, f, q = read_table(path, _CSV_HEADER, text_columns=1)
         return cls(
-            ids=tuple(ids),
+            ids=ids,
             raw_f=raw_f,
             raw_q=raw_q,
-            f=np.asarray(f),
-            q=np.asarray(q),
+            f=f,
+            q=q,
             f_max_raw=float(raw_f.max()),
             q_max_raw=float(raw_q.max()),
             zero_score=raw_f == 0.0,

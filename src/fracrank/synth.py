@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
+
+from fracrank.table import format_table, read_table
 
 
 class SynthError(ValueError):
@@ -130,24 +133,14 @@ def power_law_ranks(length: int, beta: float, noise: float, seed: int) -> np.nda
     return np.sort(vals)[::-1]
 
 
-def write_series_csv(values) -> str:
-    """Series interchange format: header ``value``, one value per line, 12 sig digits."""
-    lines = ["value"]
-    lines += [f"{float(v):.12g}" for v in np.asarray(values, dtype=float)]
-    return "\n".join(lines) + "\n"
+def write_series_csv(values) -> Iterator[str]:
+    """Series interchange format as text chunks: header ``value``, one value per row."""
+    return format_table(("value",), [np.asarray(values, dtype=float)])
 
 
-def read_series_csv(text: str) -> np.ndarray:
-    """Parse the series interchange format; the ``value`` header is optional."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if lines and lines[0].lower() == "value":
-        lines = lines[1:]
-    if not lines:
-        raise SynthError("empty series file")
-    try:
-        return np.asarray([float(ln) for ln in lines])
-    except ValueError as exc:
-        raise SynthError(f"bad series value: {exc}") from exc
+def read_series_csv(path) -> np.ndarray:
+    """Read the series interchange format; the ``value`` header is optional."""
+    return read_table(path, ("value",))[0]
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from fracrank.cli import main
+from fracrank.relevance import Measure, RelevanceTable, mutual_sequence
 from fracrank.synth import read_series_csv
 
 from conftest import MICRO_CORPUS, MICRO_F, MICRO_MUTUAL_F_OF_Q, MICRO_Q
@@ -60,14 +61,16 @@ class TestAnalyze:
         score_dir = tmp_path / "s"
         run_ok(runner, ["score", "--corpus", str(MICRO_CORPUS),
                         "--query", "alpha beta", "--out", str(score_dir)])
-        # Too short for the estimators, but the sequence itself must be written
-        # before the DFA length check fails.
+        # Too short for the estimators, so analyze fails and writes nothing; the
+        # scores table it reads still yields the golden mutual sequence.
         result = runner.invoke(main, ["analyze", "--scores", str(score_dir / "scores.csv"),
                                       "--ranked-by", "q", "--read-off", "f",
                                       "--out", str(tmp_path / "a")])
         assert result.exit_code != 0
-        seq = read_series_csv((tmp_path / "a" / "sequence.csv").read_text())
-        np.testing.assert_allclose(seq, MICRO_MUTUAL_F_OF_Q, atol=1e-11)
+        assert not (tmp_path / "a").exists()
+        table = RelevanceTable.from_csv(score_dir / "scores.csv")
+        seq = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=False)
+        np.testing.assert_allclose(seq.values, MICRO_MUTUAL_F_OF_Q, atol=1e-11)
 
     def test_fgn_series_full_bundle(self, runner, tmp_path):
         sdir = tmp_path / "synth"
@@ -88,16 +91,16 @@ class TestAnalyze:
 
     def test_self_ranked_sequence_non_increasing(self, runner, tmp_path):
         corpus = tmp_path / "c.jsonl"
-        lines = [json.dumps({"id": f"d{i}", "text": "alpha " * (i + 1) + "pad " * (20 - i)})
-                 for i in range(20)]
+        # 80 documents: enough for every estimator, so the bundle is written.
+        lines = [json.dumps({"id": f"d{i}", "text": "alpha " * (i + 1) + "pad " * (80 - i)})
+                 for i in range(80)]
         corpus.write_text("\n".join(lines) + "\n")
         sdir = tmp_path / "s"
         run_ok(runner, ["score", "--corpus", str(corpus),
                         "--query", "alpha", "--out", str(sdir)])
-        result = runner.invoke(main, ["analyze", "--scores", str(sdir / "scores.csv"),
-                                      "--ranked-by", "q", "--read-off", "q",
-                                      "--out", str(tmp_path / "a")])
-        seq = read_series_csv((tmp_path / "a" / "sequence.csv").read_text())
+        run_ok(runner, ["analyze", "--scores", str(sdir / "scores.csv"),
+                        "--ranked-by", "q", "--read-off", "q", "--out", str(tmp_path / "a")])
+        seq = read_series_csv(tmp_path / "a" / "sequence.csv")
         assert np.all(np.diff(seq) <= 0)
 
     def test_constant_series_diagnostic(self, runner, tmp_path):
@@ -121,6 +124,80 @@ class TestAnalyze:
         assert "R/S windows must satisfy 2 <= w <= N" in result.output
         assert "Traceback" not in result.output
 
+    def test_special_ids_score_then_analyze(self, runner, tmp_path):
+        special = ["a,b", 'say "hi"', "x\ny"]
+        ids = special + [f"d{i}" for i in range(77)]
+        corpus = tmp_path / "c.jsonl"
+        texts = ["alpha " * (i % 7 + 1) + "pad " * (i % 11 + 1) for i in range(len(ids))]
+        corpus.write_text("".join(json.dumps({"id": doc_id, "text": text}) + "\n"
+                                  for doc_id, text in zip(ids, texts)))
+        sdir = tmp_path / "s"
+        run_ok(runner, ["score", "--corpus", str(corpus), "--query", "alpha", "--out", str(sdir)])
+        text = (sdir / "scores.csv").read_text()
+        assert '\n"a,b",' in text and '\n"say ""hi""",' in text and '\n"x\ny",' in text
+        assert "\nd0," in text  # plain ids stay unquoted
+        table = RelevanceTable.from_csv(sdir / "scores.csv")
+        assert list(table.ids) == ids
+        run_ok(runner, ["analyze", "--scores", str(sdir / "scores.csv"),
+                        "--out", str(tmp_path / "a")])
+        seq = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=False)
+        np.testing.assert_array_equal(read_series_csv(tmp_path / "a" / "sequence.csv"),
+                                      [float(f"{v:.12g}") for v in seq.values])
+
+    def test_non_finite_series_rejected(self, runner, tmp_path):
+        values = np.random.default_rng(0).standard_normal(2000).astype(str)
+        values[1234] = "nan"
+        series = tmp_path / "series.csv"
+        series.write_text("value\n" + "\n".join(values) + "\n")
+        result = runner.invoke(main, ["analyze", "--series", str(series),
+                                      "--out", str(tmp_path / "a")], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "series.csv: row 1235: non-finite value" in result.output
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_scores_rejected(self, runner, tmp_path, bad):
+        sdir = tmp_path / "s"
+        run_ok(runner, ["score", "--corpus", str(MICRO_CORPUS),
+                        "--query", "alpha beta", "--out", str(sdir)])
+        rows = (sdir / "scores.csv").read_text().splitlines()
+        fields = rows[2].split(",")
+        fields[4] = bad
+        rows[2] = ",".join(fields)
+        (sdir / "scores.csv").write_text("\n".join(rows) + "\n")
+        result = runner.invoke(main, ["analyze", "--scores", str(sdir / "scores.csv"),
+                                      "--out", str(tmp_path / "a")], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "scores.csv: row 2: non-finite value" in result.output
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("length, extra", [(40, []), (256, ["--rs-windows", "0,16,32,64"]),
+                                                (256, ["--trim", "nan"])])
+    def test_failed_analyze_writes_nothing(self, runner, tmp_path, length, extra):
+        sdir = tmp_path / "s"
+        run_ok(runner, ["synth", "--kind", "white", "--len", str(length), "--seed", "1",
+                        "--out", str(sdir)])
+        out = tmp_path / "a"
+        out.mkdir()
+        (out / "keep.txt").write_text("untouched")
+        result = runner.invoke(main, ["analyze", "--series", str(sdir / "series.csv"),
+                                      "--out", str(out)] + extra, catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        assert read_dir(out) == {"keep.txt": b"untouched"}
+
+    def test_grid_bound(self, runner, tmp_path):
+        # G = 10^5 would be 10^10 cell counts; it is rejected before any allocation.
+        sdir = tmp_path / "s"
+        run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
+                        "--out", str(sdir)])
+        result = runner.invoke(main, ["analyze", "--series", str(sdir / "series.csv"),
+                                      "--grid", "100000", "--out", str(tmp_path / "a")],
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "grid_size^2 must be <= 16777216 cells" in result.output
+        assert not (tmp_path / "a").exists()
+
     def test_requires_exactly_one_input(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--out", str(tmp_path)])
         assert result.exit_code != 0
@@ -138,8 +215,16 @@ class TestSynth:
         run_ok(runner, ["synth", "--kind", "linear", "--slope", "2",
                         "--intercept", "1", "--len", "3", "--out", str(tmp_path)])
         np.testing.assert_array_equal(
-            read_series_csv((tmp_path / "series.csv").read_text()), [3, 5, 7]
+            read_series_csv(tmp_path / "series.csv"), [3, 5, 7]
         )
+
+    def test_non_finite_parameter_writes_nothing(self, runner, tmp_path):
+        result = runner.invoke(main, ["synth", "--kind", "linear", "--slope", "nan",
+                                      "--intercept", "0", "--len", "8",
+                                      "--out", str(tmp_path / "o")], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "non-finite value in JSON output" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_h_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["synth", "--kind", "fgn", "--h", "1.2",

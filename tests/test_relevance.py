@@ -12,6 +12,7 @@ from fracrank.relevance import (
     rank_by,
     score_corpus,
 )
+from fracrank.table import write_atomic
 
 from conftest import MICRO_F, MICRO_MUTUAL_F_OF_Q, MICRO_Q, MICRO_Q_RAW
 
@@ -154,10 +155,11 @@ class TestMutualSequence:
 
 
 class TestCsvRoundTrip:
-    def test_export_header_and_roundtrip(self, micro_table):
-        text = micro_table.to_csv()
-        assert text.splitlines()[0] == "id,raw_f,raw_q,f,q"
-        back = RelevanceTable.from_csv(text)
+    def test_export_header_and_roundtrip(self, micro_table, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_atomic(path, micro_table.to_csv())
+        assert path.read_text().splitlines()[0] == "id,raw_f,raw_q,f,q"
+        back = RelevanceTable.from_csv(path)
         assert back.ids == micro_table.ids
         np.testing.assert_allclose(back.f, micro_table.f, rtol=1e-11)
         np.testing.assert_allclose(back.q, micro_table.q, rtol=1e-11)

@@ -14,6 +14,7 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
+from fracrank.table import TableError, write_atomic
 
 
 def sample_autocov(x, lag):
@@ -119,14 +120,17 @@ class TestGeneratorSpec:
 
 
 class TestSeriesCsv:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         x = white_noise(100, 2)
-        back = read_series_csv(write_series_csv(x))
+        write_atomic(tmp_path / "series.csv", write_series_csv(x))
+        back = read_series_csv(tmp_path / "series.csv")
         np.testing.assert_allclose(back, x, rtol=1e-11)
 
-    def test_header_optional(self):
-        np.testing.assert_array_equal(read_series_csv("1.5\n2.5\n"), [1.5, 2.5])
+    def test_header_optional(self, tmp_path):
+        (tmp_path / "series.csv").write_text("1.5\n2.5\n")
+        np.testing.assert_array_equal(read_series_csv(tmp_path / "series.csv"), [1.5, 2.5])
 
-    def test_empty_rejected(self):
-        with pytest.raises(SynthError):
-            read_series_csv("value\n")
+    def test_empty_rejected(self, tmp_path):
+        (tmp_path / "series.csv").write_text("value\n")
+        with pytest.raises(TableError):
+            read_series_csv(tmp_path / "series.csv")
