@@ -3,8 +3,6 @@
 from fracrank.corpus import Corpus, Document, Query, count_entries, ingest_jsonl, tokenize
 from fracrank.relevance import (
     Measure,
-    MutualSequence,
-    RankPermutation,
     RelevanceTable,
     mutual_sequence,
     rank_by,
@@ -13,11 +11,9 @@ from fracrank.relevance import (
 from fracrank.fractal import (
     FluctuationCurve,
     HurstResult,
-    TrendCoefficients,
     dfa,
     hurst_pointwise,
     hurst_regression,
-    local_trend,
     profile,
     rs_statistic,
 )
@@ -29,6 +25,6 @@ from fracrank.rankstats import (
     poincare_map,
     zipf_fit,
 )
-from fracrank.synth import GeneratorSpec, fgn, generate, linear_trend, power_law_ranks, white_noise
+from fracrank.synth import fgn, linear_trend, power_law_ranks, white_noise
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ CSV dialect of ``fracrank.table`` and JSON rejects non-finite numbers.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from fracrank.corpus import Query, ingest_jsonl_path
 from fracrank.fractal import (
     DegenerateSeriesError,
     dfa,
+    hurst_pointwise,
     hurst_regression,
 )
 from fracrank.rankstats import (
@@ -31,25 +33,17 @@ from fracrank.rankstats import (
 )
 from fracrank.relevance import Measure, RelevanceTable, mutual_sequence, score_corpus
 from fracrank.synth import (
-    GeneratorSpec,
     SynthError,
-    generate,
+    fgn,
+    linear_trend,
+    power_law_ranks,
     read_series_csv,
+    white_noise,
     write_series_csv,
 )
-from fracrank.table import write_atomic
+from fracrank.table import format_table, write_atomic
 
 OUT_ENV_VAR = "FRACRANK_OUT"
-
-_KIND_ALIASES = {
-    "white": "white_noise",
-    "white_noise": "white_noise",
-    "fgn": "fgn",
-    "linear": "linear_trend",
-    "linear_trend": "linear_trend",
-    "power": "power_law_ranks",
-    "power_law_ranks": "power_law_ranks",
-}
 
 
 @dataclass(frozen=True)
@@ -81,6 +75,25 @@ class SynthConfig:
     noise: float = 0.0
     slope: float | None = None
     intercept: float | None = None
+
+
+# The generator kinds: every --kind spelling maps to (name in messages, the
+# options that kind requires, the generator call). The calls look the
+# generators up when they run, so a generator replaced on this module is used.
+_WHITE = ("white", (), lambda c: white_noise(c.length, c.seed))
+_FGN = ("fgn", ("h",), lambda c: fgn(c.length, c.h, c.seed))
+_LINEAR = ("linear", ("slope", "intercept"),
+           lambda c: linear_trend(c.length, c.slope, c.intercept))
+_POWER = ("power", ("beta",), lambda c: power_law_ranks(c.length, c.beta, c.noise, c.seed))
+_KINDS = {
+    "white": _WHITE,
+    "white_noise": _WHITE,
+    "fgn": _FGN,
+    "linear": _LINEAR,
+    "linear_trend": _LINEAR,
+    "power": _POWER,
+    "power_law_ranks": _POWER,
+}
 
 
 def _g12(x: float) -> float:
@@ -119,13 +132,12 @@ def _load_sequence(cfg: AnalyzeConfig) -> np.ndarray:
         raise click.UsageError("exactly one of --scores or --series is required")
     if cfg.series is not None:
         return read_series_csv(cfg.series)
-    seq = mutual_sequence(
+    return mutual_sequence(
         RelevanceTable.from_csv(cfg.scores),
         ranked_by=Measure(cfg.ranked_by),
         read_off=Measure(cfg.read_off),
         include_zero_scores=cfg.include_zero_scores,
     )
-    return seq.values
 
 
 def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
@@ -146,6 +158,8 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     summary["h_regression"] = _g12(hres.h_regression)
     summary["h_regression_r2"] = _g12(hres.h_r2)
     summary["fractal_dim"] = _g12(hres.fractal_dim)
+    points, _ = hurst_pointwise(values)
+    prefixes, h_pointwise = np.array(points, dtype=float).reshape(-1, 2).T
 
     # Return map needs coordinates in [0,1]; rank-map anything else.
     cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
@@ -171,41 +185,26 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     manifest = _manifest("analyze", cfg)
     write_atomic(outdir / "sequence.csv", write_series_csv(values))
     write_atomic(outdir / "dfa.csv", curve.to_csv())
-    write_atomic(outdir / "hurst_pointwise.csv", hres.pointwise_csv())
+    write_atomic(outdir / "hurst_pointwise.csv",
+                 format_table(("N", "h"), [prefixes, h_pointwise]))
     write_atomic(outdir / "poincare.csv", pts.to_csv())
     write_atomic(outdir / "summary.json", [summary_json])
     write_atomic(outdir / "manifest.json", [manifest])
 
 
-def _spec_from_config(cfg: SynthConfig) -> GeneratorSpec:
-    kind = _KIND_ALIASES.get(cfg.kind)
-    if kind is None:
-        raise click.UsageError(f"unknown generator kind {cfg.kind!r}")
-    params: dict = {}
-    if kind == "fgn":
-        if cfg.h is None:
-            raise click.UsageError("--kind fgn requires --h")
-        params["target_h"] = cfg.h
-    elif kind == "linear_trend":
-        if cfg.slope is None or cfg.intercept is None:
-            raise click.UsageError("--kind linear requires --slope and --intercept")
-        params["slope"] = cfg.slope
-        params["intercept"] = cfg.intercept
-    elif kind == "power_law_ranks":
-        if cfg.beta is None:
-            raise click.UsageError("--kind power requires --beta")
-        params["beta"] = cfg.beta
-        params["noise"] = cfg.noise
-    try:
-        return GeneratorSpec(kind=kind, length=cfg.length, seed=cfg.seed, params=params)
-    except SynthError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
 def run_synth(cfg: SynthConfig, outdir: Path) -> None:
-    spec = _spec_from_config(cfg)
+    if cfg.kind not in _KINDS:
+        raise click.UsageError(f"unknown generator kind {cfg.kind!r}")
+    name, required, generate = _KINDS[cfg.kind]
+    if any(getattr(cfg, option) is None for option in required):
+        options = " and ".join(f"--{option}" for option in required)
+        raise click.UsageError(f"--kind {name} requires {options}")
+    if cfg.length < 2:
+        raise click.UsageError("length must be >= 2")
+    if not 0 <= cfg.seed < 2**64:
+        raise click.UsageError("seed must be an unsigned 64-bit integer")
     try:
-        values = generate(spec)
+        values = generate(cfg)
     except SynthError as exc:
         raise click.UsageError(str(exc)) from exc
     manifest = _manifest("synth", cfg)
@@ -231,11 +230,35 @@ def _out_option(fn):
 
 
 def _run(runner, cfg, out) -> None:
-    """Run a command; every fracrank error is a ValueError and exits 1 with its message."""
+    """Run a command; fracrank errors (all ValueError) and file errors exit 1 with their message."""
     try:
         runner(cfg, Path(out))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
+
+
+def _config_from_manifest(config_cls, raw: dict):
+    """The manifest's config as ``config_cls``, each value checked against its field's type."""
+    for key in ("dfa_windows", "rs_windows"):
+        if isinstance(raw.get(key), list):
+            raw[key] = tuple(raw[key])
+    for key, hint in typing.get_type_hints(config_cls).items():
+        if key not in raw:
+            continue
+        value = raw[key]
+        # "float | None" allows float and None; tuple[int, ...] checks as tuple.
+        types = tuple(typing.get_origin(t) or t for t in typing.get_args(hint) or [hint])
+        if float in types:
+            types += (int,)
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+            declared = config_cls.__annotations__[key]
+            raise click.ClickException(
+                f"bad manifest config: {key} = {value!r} is not {declared}"
+            )
+    try:
+        return config_cls(**raw)
+    except TypeError as exc:
+        raise click.ClickException(f"bad manifest config: {exc}") from exc
 
 
 @click.group()
@@ -313,19 +336,17 @@ def synth(kind, length, seed, h, beta, noise, slope, intercept, out):
 @_out_option
 def rerun(manifest, out):
     """Replay a previous run from its manifest.json; outputs are byte-identical."""
-    record = json.loads(Path(manifest).read_text(encoding="utf-8"))
+    try:
+        record = json.loads(Path(manifest).read_text(encoding="utf-8"))
+    except (ValueError, OSError) as exc:
+        raise click.ClickException(f"cannot read manifest {manifest}: {exc}") from exc
+    if not isinstance(record, dict) or not isinstance(record.get("config", {}), dict):
+        raise click.ClickException("manifest must be a JSON object with a config object")
     command = record.get("command")
     if command not in _RUNNERS:
         raise click.ClickException(f"manifest has unknown command {command!r}")
     config_cls, runner = _RUNNERS[command]
-    raw = dict(record.get("config", {}))
-    for key in ("dfa_windows", "rs_windows"):
-        if raw.get(key) is not None:
-            raw[key] = tuple(raw[key])
-    try:
-        cfg = config_cls(**raw)
-    except TypeError as exc:
-        raise click.ClickException(f"bad manifest config: {exc}") from exc
+    cfg = _config_from_manifest(config_cls, dict(record.get("config", {})))
     _run(runner, cfg, out)
 
 

@@ -6,16 +6,21 @@ each window is detrended by its own least-squares line, and the pooled RMS
 residual D(n) is fit as a power law D(n) ~ n^alpha in log-log scale.
 
 R/S: S is the population standard deviation, X(n) the running sum of mean
-deviations, R = max X - min X. The pointwise Hurst estimate for a prefix of
-length N is ln(R/S) / ln(N/2); the regression estimate fits log of the
-block-averaged R/S against log of the block size. For each block size w the
-series is viewed as an (nblk, w) array of non-overlapping blocks and R/S is
-computed row-wise in one pass; a prefix is the one-row case. The associated
-fractal dimension of a self-affine record is 2 - H.
+deviations, R = max X - min X. There are two separate Hurst estimators: the
+pointwise one, ln(R/S) / ln(N/2) for a prefix of length N, and the regression
+one, which fits log of the block-averaged R/S against log of the block size.
+For each block size w the series is viewed as an (nblk, w) array of
+non-overlapping blocks and R/S is computed row-wise in one pass; a prefix is
+the one-row case. The associated fractal dimension of a self-affine record is
+2 - H.
+
+Finite values so large that their squares or sums overflow raise
+DegenerateSeriesError instead of turning into inf or NaN.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -26,14 +31,6 @@ from fracrank.table import format_table
 
 class DegenerateSeriesError(ValueError):
     """Series has no usable fluctuation (constant input, zero variance, ...)."""
-
-
-@dataclass(frozen=True)
-class TrendCoefficients:
-    """Least-squares line y(k) = a*k + b over k = 1..n."""
-
-    a: float
-    b: float
 
 
 @dataclass(frozen=True)
@@ -52,20 +49,29 @@ class FluctuationCurve:
 
 @dataclass(frozen=True)
 class HurstResult:
-    """Pointwise H(N) curve, regression H, and fractal dimension 2 - H."""
+    """Regression H with its R/S curve and fit R^2, and fractal dimension 2 - H."""
 
-    pointwise: tuple[tuple[int, float], ...]
     h_regression: float
     fractal_dim: float
     rs_windows: np.ndarray
     rs_means: np.ndarray
     h_r2: float
-    skipped_prefixes: tuple[int, ...] = ()
 
-    def pointwise_csv(self) -> Iterator[str]:
-        """hurst_pointwise.csv as text chunks: one (N, H(N)) row per prefix."""
-        n, h = np.array(self.pointwise, dtype=float).reshape(-1, 2).T
-        return format_table(("N", "h"), [n, h])
+
+def _overflow_checked(estimator):
+    """Run ``estimator`` with float overflow raised, reported as DegenerateSeriesError."""
+
+    @functools.wraps(estimator)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return estimator(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise DegenerateSeriesError(
+                f"values too large: floating-point overflow ({exc})"
+            ) from exc
+
+    return checked
 
 
 def profile(series) -> np.ndarray:
@@ -88,15 +94,6 @@ def _line_fit(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = (n * sky - sk * sy) / denom
     b = (sy * skk - sk * sky) / denom
     return a, b
-
-
-def local_trend(segment) -> TrendCoefficients:
-    """OLS line through (k, y_k) for k = 1..n: the one-row case of the DFA detrend."""
-    y = np.asarray(segment, dtype=float)
-    if y.size < 2:
-        raise ValueError("local_trend needs at least 2 points")
-    a, b = _line_fit(y[None, :])
-    return TrendCoefficients(a=float(a[0]), b=float(b[0]))
 
 
 def default_dfa_windows(n_points: int) -> np.ndarray:
@@ -127,6 +124,7 @@ def _segment_residuals(prof: np.ndarray, n: int) -> np.ndarray:
     return seg - (np.outer(a, k) + b[:, None])
 
 
+@_overflow_checked
 def dfa(series, windows=None) -> FluctuationCurve:
     """Detrended fluctuation analysis with linear detrending.
 
@@ -188,6 +186,7 @@ def default_prefix_grid(n_points: int) -> np.ndarray:
     return np.unique(np.round(np.geomspace(16, n_points, 20)).astype(int))
 
 
+@_overflow_checked
 def hurst_pointwise(series) -> tuple[list[tuple[int, float]], list[int]]:
     """H(N) = ln(R/S of prefix) / ln(N/2) over a geometric grid of prefix lengths.
 
@@ -223,6 +222,7 @@ def default_rs_windows(n_points: int) -> np.ndarray:
     return grid[(grid >= 16) & (grid <= hi)]
 
 
+@_overflow_checked
 def hurst_regression(series, windows=None) -> HurstResult:
     """Multi-window R/S regression estimate of the Hurst index.
 
@@ -253,13 +253,10 @@ def hurst_regression(series, windows=None) -> HurstResult:
     w_arr = np.asarray(used_w, dtype=float)
     m_arr = np.asarray(means)
     h, _, r2 = _ols(np.log10(w_arr), np.log10(m_arr))
-    points, skipped = hurst_pointwise(x)
     return HurstResult(
-        pointwise=tuple(points),
         h_regression=h,
         fractal_dim=2.0 - h,
         rs_windows=w_arr,
         rs_means=m_arr,
         h_r2=r2,
-        skipped_prefixes=tuple(skipped),
     )

@@ -82,23 +82,6 @@ class RelevanceTable:
         )
 
 
-@dataclass(frozen=True)
-class RankPermutation:
-    """Document indices sorted by descending score; ties keep ingestion order."""
-
-    measure: Measure
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MutualSequence:
-    """Values of ``read_off`` read in the rank order induced by ``ranked_by``."""
-
-    values: np.ndarray
-    ranked_by: Measure
-    read_off: Measure
-
-
 def score_corpus(corpus: Corpus, query: Query) -> RelevanceTable:
     """Score every document on both measures and normalize by the raw maxima.
 
@@ -128,13 +111,11 @@ def score_corpus(corpus: Corpus, query: Query) -> RelevanceTable:
     )
 
 
-def rank_by(table: RelevanceTable, measure: Measure) -> RankPermutation:
-    """Stable descending sort by the chosen measure; ties go to the earlier document."""
+def rank_by(table: RelevanceTable, measure: Measure) -> np.ndarray:
+    """Document indices by descending score (stable sort); ties go to the earlier document."""
     if table.size == 0:
         raise RelevanceError("empty relevance table")
-    scores = table.scores(measure)
-    order = np.argsort(-scores, kind="stable")
-    return RankPermutation(measure=measure, order=tuple(int(i) for i in order))
+    return np.argsort(-table.scores(measure), kind="stable")
 
 
 def mutual_sequence(
@@ -142,21 +123,16 @@ def mutual_sequence(
     ranked_by: Measure,
     read_off: Measure,
     include_zero_scores: bool = True,
-) -> MutualSequence:
-    """Rank documents by one measure and read off the other's values in that order.
+) -> np.ndarray:
+    """Values of ``read_off`` read in the rank order induced by ``ranked_by``.
 
     With ``include_zero_scores=False`` documents matching no query term are
     dropped before ranking (their normalized scores sit at exactly 0, outside
     the open interval the measures are meant to occupy).
     """
-    perm = rank_by(table, ranked_by)
-    values = table.scores(read_off)
-    if include_zero_scores:
-        idx = list(perm.order)
-    else:
-        idx = [i for i in perm.order if not table.zero_score[i]]
-        if not idx:
+    order = rank_by(table, ranked_by)
+    if not include_zero_scores:
+        order = order[~table.zero_score[order]]
+        if order.size == 0:
             raise RelevanceError("no nonzero-score documents to sequence")
-    return MutualSequence(
-        values=values[idx].copy(), ranked_by=ranked_by, read_off=read_off
-    )
+    return table.scores(read_off)[order]

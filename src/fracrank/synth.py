@@ -1,9 +1,10 @@
 """Seeded synthetic series generators used as statistical oracles.
 
 All randomness comes from numpy's PCG64 bit generator (``numpy.random.default_rng``),
-so a (kind, params, seed) spec reproduces its series bit-for-bit on the same
-numpy version. Fractional Gaussian noise is generated by circulant embedding
-(Davies-Harte), which realizes the exact target autocovariance
+so a generator called with the same arguments and seed reproduces its series
+bit-for-bit on the same numpy version. Fractional Gaussian noise is generated
+by circulant embedding (Davies-Harte), which realizes the exact target
+autocovariance
 
     gamma(k) = 0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
@@ -12,8 +13,6 @@ in O(N log N) via the FFT.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -22,44 +21,7 @@ from fracrank.table import format_table, read_table
 
 
 class SynthError(ValueError):
-    """Raised on invalid generator specs."""
-
-
-KINDS = ("white_noise", "fgn", "linear_trend", "power_law_ranks")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Fully determines a synthetic series: kind, length, seed, kind params."""
-
-    kind: str
-    length: int
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SynthError(f"unknown generator kind {self.kind!r}")
-        if self.length < 2:
-            raise SynthError("length must be >= 2")
-        if not 0 <= self.seed < 2**64:
-            raise SynthError("seed must be an unsigned 64-bit integer")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "length": self.length, "seed": self.seed, "params": self.params},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorSpec":
-        rec = json.loads(text)
-        return cls(
-            kind=rec["kind"],
-            length=int(rec["length"]),
-            seed=int(rec.get("seed", 0)),
-            params=dict(rec.get("params", {})),
-        )
+    """Raised on invalid generator arguments."""
 
 
 def white_noise(length: int, seed: int) -> np.ndarray:
@@ -141,19 +103,3 @@ def write_series_csv(values) -> Iterator[str]:
 def read_series_csv(path) -> np.ndarray:
     """Read the series interchange format; the ``value`` header is optional."""
     return read_table(path, ("value",))[0]
-
-
-def generate(spec: GeneratorSpec) -> np.ndarray:
-    """Dispatch a GeneratorSpec to its generator."""
-    p = spec.params
-    if spec.kind == "white_noise":
-        return white_noise(spec.length, spec.seed)
-    if spec.kind == "fgn":
-        return fgn(spec.length, float(p["target_h"]), spec.seed)
-    if spec.kind == "linear_trend":
-        return linear_trend(spec.length, float(p["slope"]), float(p["intercept"]))
-    if spec.kind == "power_law_ranks":
-        return power_law_ranks(
-            spec.length, float(p["beta"]), float(p.get("noise", 0.0)), spec.seed
-        )
-    raise SynthError(f"unknown generator kind {spec.kind!r}")

@@ -94,12 +94,12 @@ def test_micro_corpus_golden():
     ok = (
         np.allclose(table.f, f_expected, atol=1e-9)
         and np.allclose(table.q, q_expected, atol=1e-9)
-        and np.allclose(seq.values, mutual_expected, atol=1e-9)
+        and np.allclose(seq, mutual_expected, atol=1e-9)
         and np.allclose(table.f, [0.75, 0.25, 1.0], atol=1e-9)
-        and np.allclose(seq.values, [0.75, 1.0, 0.25], atol=1e-9)
+        and np.allclose(seq, [0.75, 1.0, 0.25], atol=1e-9)
     )
     report("micro-corpus golden (brute-force oracle, 1e-9)", ok,
-           f"f={table.f.tolist()}, mutual={seq.values.tolist()}")
+           f"f={table.f.tolist()}, mutual={seq.tolist()}")
 
 
 def _naive_dfa_d(series, window):

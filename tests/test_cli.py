@@ -7,7 +7,15 @@ from click.testing import CliRunner
 
 from fracrank.cli import main
 from fracrank.relevance import Measure, RelevanceTable, mutual_sequence
-from fracrank.synth import read_series_csv
+from fracrank.synth import (
+    fgn,
+    linear_trend,
+    power_law_ranks,
+    read_series_csv,
+    white_noise,
+    write_series_csv,
+)
+from fracrank.table import write_atomic
 
 from conftest import MICRO_CORPUS, MICRO_F, MICRO_MUTUAL_F_OF_Q, MICRO_Q
 
@@ -25,6 +33,40 @@ def run_ok(runner, args):
 
 def read_dir(path: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def write_series(path: Path, values) -> Path:
+    write_atomic(path, write_series_csv(values))
+    return path
+
+
+# Every accepted --kind spelling, its options, and the generator call it stands for.
+SYNTH_KINDS = [
+    ("white", [], lambda: white_noise(256, 4)),
+    ("white_noise", [], lambda: white_noise(256, 4)),
+    ("fgn", ["--h", "0.7"], lambda: fgn(256, 0.7, 4)),
+    ("linear", ["--slope", "-0.5", "--intercept", "3"], lambda: linear_trend(256, -0.5, 3.0)),
+    ("linear_trend", ["--slope", "-0.5", "--intercept", "3"],
+     lambda: linear_trend(256, -0.5, 3.0)),
+    ("power", ["--beta", "1.2", "--noise", "0.1"], lambda: power_law_ranks(256, 1.2, 0.1, 4)),
+    ("power_law_ranks", ["--beta", "1.2", "--noise", "0.1"],
+     lambda: power_law_ranks(256, 1.2, 0.1, 4)),
+]
+
+# synth manifests as the previous release wrote them, one per generator family.
+OLD_SYNTH_MANIFESTS = {
+    "fgn": {"h": 0.7, "beta": None, "noise": 0.0, "slope": None, "intercept": None,
+            "kind": "fgn", "length": 256, "seed": 11},
+    "linear_trend": {"h": None, "beta": None, "noise": 0.0, "slope": 2.0, "intercept": 1.0,
+                     "kind": "linear_trend", "length": 3, "seed": 0},
+    "power": {"h": None, "beta": 1.0, "noise": 0.02, "slope": None, "intercept": None,
+              "kind": "power", "length": 512, "seed": 3},
+}
+OLD_SYNTH_SERIES = {
+    "fgn": lambda: fgn(256, 0.7, 11),
+    "linear_trend": lambda: linear_trend(3, 2.0, 1.0),
+    "power": lambda: power_law_ranks(512, 1.0, 0.02, 3),
+}
 
 
 class TestScore:
@@ -70,7 +112,7 @@ class TestAnalyze:
         assert not (tmp_path / "a").exists()
         table = RelevanceTable.from_csv(score_dir / "scores.csv")
         seq = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=False)
-        np.testing.assert_allclose(seq.values, MICRO_MUTUAL_F_OF_Q, atol=1e-11)
+        np.testing.assert_allclose(seq, MICRO_MUTUAL_F_OF_Q, atol=1e-11)
 
     def test_fgn_series_full_bundle(self, runner, tmp_path):
         sdir = tmp_path / "synth"
@@ -142,7 +184,7 @@ class TestAnalyze:
                         "--out", str(tmp_path / "a")])
         seq = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=False)
         np.testing.assert_array_equal(read_series_csv(tmp_path / "a" / "sequence.csv"),
-                                      [float(f"{v:.12g}") for v in seq.values])
+                                      [float(f"{v:.12g}") for v in seq])
 
     def test_non_finite_series_rejected(self, runner, tmp_path):
         values = np.random.default_rng(0).standard_normal(2000).astype(str)
@@ -186,6 +228,27 @@ class TestAnalyze:
         assert "Traceback" not in result.output
         assert read_dir(out) == {"keep.txt": b"untouched"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_values_named_error(self, runner, tmp_path):
+        series = write_series(tmp_path / "huge.csv", white_noise(256, 1) * 1e200)
+        result = runner.invoke(main, ["analyze", "--series", str(series),
+                                      "--out", str(tmp_path / "a")], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "dfa failed: values too large: floating-point overflow" in result.output
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_values_scale_invariant(self, runner, tmp_path):
+        x = white_noise(256, 1)
+        summaries = []
+        for name, values in (("plain", x), ("large", x * 1e100)):
+            series = write_series(tmp_path / f"{name}.csv", values)
+            run_ok(runner, ["analyze", "--series", str(series), "--out", str(tmp_path / name)])
+            summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+        plain, large = summaries
+        for key in ("alpha", "h_regression"):
+            assert large[key] == pytest.approx(plain[key], abs=1e-9)
+
     def test_grid_bound(self, runner, tmp_path):
         # G = 10^5 would be 10^10 cell counts; it is rejected before any allocation.
         sdir = tmp_path / "s"
@@ -226,6 +289,48 @@ class TestSynth:
         assert "non-finite value in JSON output" in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind, options, generator", SYNTH_KINDS,
+                             ids=[k for k, _, _ in SYNTH_KINDS])
+    def test_kind_spelling_calls_generator(self, runner, tmp_path, kind, options, generator):
+        run_ok(runner, ["synth", "--kind", kind, "--len", "256", "--seed", "4",
+                        "--out", str(tmp_path / "o")] + options)
+        direct = write_series(tmp_path / "direct.csv", generator())
+        assert (tmp_path / "o" / "series.csv").read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "fgn", "--len", "256"], "--kind fgn requires --h"),
+        (["--kind", "power", "--len", "256"], "--kind power requires --beta"),
+        (["--kind", "power_law_ranks", "--len", "256"], "--kind power requires --beta"),
+        (["--kind", "linear", "--len", "8", "--intercept", "1"],
+         "--kind linear requires --slope and --intercept"),
+        (["--kind", "linear_trend", "--len", "8", "--slope", "1"],
+         "--kind linear requires --slope and --intercept"),
+        (["--kind", "white", "--len", "64", "--seed", "-1"],
+         "seed must be an unsigned 64-bit integer"),
+        (["--kind", "white", "--len", "64", "--seed", str(2**64)],
+         "seed must be an unsigned 64-bit integer"),
+        (["--kind", "white", "--len", "1"], "length must be >= 2"),
+        (["--kind", "fgn", "--h", "0.7", "--len", "1"], "length must be >= 2"),
+    ])
+    def test_usage_errors(self, runner, tmp_path, args, message):
+        result = runner.invoke(main, ["synth"] + args + ["--out", str(tmp_path / "o")],
+                               catch_exceptions=False)
+        assert result.exit_code == 2
+        assert f"Error: {message}" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_kind(self, runner, tmp_path):
+        result = runner.invoke(main, ["synth", "--kind", "pink", "--len", "64",
+                                      "--out", str(tmp_path / "o")], catch_exceptions=False)
+        assert result.exit_code == 2
+        assert "Error: unknown generator kind 'pink'" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_linear_trend_dispatch(self, runner, tmp_path):
+        run_ok(runner, ["synth", "--kind", "linear_trend", "--slope", "2",
+                        "--intercept", "1", "--len", "3", "--out", str(tmp_path)])
+        np.testing.assert_array_equal(read_series_csv(tmp_path / "series.csv"), [3, 5, 7])
+
     def test_invalid_h_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["synth", "--kind", "fgn", "--h", "1.2",
                                       "--len", "128", "--out", str(tmp_path)])
@@ -260,3 +365,41 @@ class TestRerun:
                         "--query", "alpha beta", "--out", str(a)])
         run_ok(runner, ["rerun", str(a / "manifest.json"), "--out", str(b)])
         assert read_dir(a) == read_dir(b)
+
+    @pytest.mark.parametrize("kind", sorted(OLD_SYNTH_MANIFESTS))
+    def test_old_synth_manifest_byte_identical(self, runner, tmp_path, kind):
+        text = json.dumps({"command": "synth", "config": OLD_SYNTH_MANIFESTS[kind]},
+                          sort_keys=True, indent=2) + "\n"
+        (tmp_path / "manifest.json").write_text(text)
+        run_ok(runner, ["rerun", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "b")])
+        direct = write_series(tmp_path / "direct.csv", OLD_SYNTH_SERIES[kind]())
+        assert read_dir(tmp_path / "b") == {"manifest.json": text.encode(),
+                                            "series.csv": direct.read_bytes()}
+
+    @pytest.mark.parametrize("case", ["missing_input", "not_json", "wrong_type"])
+    def test_broken_manifest_clean_error(self, runner, tmp_path, case):
+        sdir = tmp_path / "s"
+        run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
+                        "--out", str(sdir)])
+        manifest = tmp_path / "manifest.json"
+        if case == "missing_input":
+            moved = tmp_path / "moved.csv"
+            (sdir / "series.csv").rename(moved)
+            run_ok(runner, ["analyze", "--series", str(moved), "--out", str(tmp_path / "a")])
+            manifest.write_bytes((tmp_path / "a" / "manifest.json").read_bytes())
+            moved.unlink()
+            message = "No such file or directory"
+        elif case == "not_json":
+            manifest.write_text('{"command": "synth", "config": {')
+            message = "cannot read manifest"
+        else:
+            record = json.loads((sdir / "manifest.json").read_text())
+            record["config"]["length"] = "x"
+            manifest.write_text(json.dumps(record))
+            message = "bad manifest config: length = 'x' is not int"
+        result = runner.invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "b")],
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "b").exists()

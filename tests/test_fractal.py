@@ -8,11 +8,11 @@ from hypothesis.extra import numpy as npst
 
 from fracrank.fractal import (
     DegenerateSeriesError,
+    _line_fit,
     default_dfa_windows,
     dfa,
     hurst_pointwise,
     hurst_regression,
-    local_trend,
     profile,
     rs_statistic,
 )
@@ -117,30 +117,28 @@ class TestProfile:
 
 
 class TestLocalTrend:
+    """The DFA local trend of one segment: one-row cases of ``_line_fit``."""
+
     def test_exact_line(self):
-        t = local_trend([3, 5, 7])
-        assert t.a == pytest.approx(2.0)
-        assert t.b == pytest.approx(1.0)
+        a, b = _line_fit(np.array([[3.0, 5.0, 7.0]]))
+        assert a[0] == pytest.approx(2.0)
+        assert b[0] == pytest.approx(1.0)
 
     def test_constant(self):
-        t = local_trend([4.0] * 5)
-        assert t.a == pytest.approx(0.0)
-        assert t.b == pytest.approx(4.0)
+        a, b = _line_fit(np.full((1, 5), 4.0))
+        assert a[0] == pytest.approx(0.0)
+        assert b[0] == pytest.approx(4.0)
 
     def test_hand_ols(self):
-        t = local_trend([0, 1, 0])
-        assert t.a == pytest.approx(0.0)
-        assert t.b == pytest.approx(1 / 3)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            local_trend([1.0])
+        a, b = _line_fit(np.array([[0.0, 1.0, 0.0]]))
+        assert a[0] == pytest.approx(0.0)
+        assert b[0] == pytest.approx(1 / 3)
 
     @given(finite_series)
     def test_residuals_orthogonal_to_regressors(self, y):
-        t = local_trend(y)
+        a, b = _line_fit(y[None, :])
         k = np.arange(1, y.size + 1, dtype=float)
-        resid = y - (t.a * k + t.b)
+        resid = y - (a[0] * k + b[0])
         scale = max(1.0, np.abs(y).max()) * y.size**2
         assert abs(resid.sum()) <= 1e-8 * scale
         assert abs((resid * k).sum()) <= 1e-8 * scale
@@ -228,6 +226,25 @@ class TestRsStatistic:
         assert rs_statistic(x + shift) == pytest.approx(base, rel=1e-6)
         assert rs_statistic(x * scale) == pytest.approx(base, rel=1e-6)
         assert rs_statistic(-x) == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestHugeValues:
+    """Squares and sums of ~1e200 leave the float range; ~1e100 still fits."""
+
+    @pytest.mark.parametrize("estimator", [dfa, hurst_regression, hurst_pointwise])
+    def test_overflow_named(self, estimator):
+        with pytest.raises(DegenerateSeriesError, match="floating-point overflow"):
+            estimator(white_noise(256, 1) * 1e200)
+
+    def test_scale_invariance_at_1e100(self):
+        x = white_noise(256, 1)
+        assert dfa(x * 1e100).alpha == pytest.approx(dfa(x).alpha, abs=1e-9)
+        assert (hurst_regression(x * 1e100).h_regression
+                == pytest.approx(hurst_regression(x).h_regression, abs=1e-9))
+        large, _ = hurst_pointwise(x * 1e100)
+        plain, _ = hurst_pointwise(x)
+        np.testing.assert_allclose(large, plain, rtol=0, atol=1e-9)
 
 
 class TestHurstPointwise:

@@ -98,12 +98,10 @@ def _scaled_table(table: RelevanceTable, factor: float) -> RelevanceTable:
 
 class TestRankBy:
     def test_rank_by_q(self, micro_table):
-        perm = rank_by(micro_table, Measure.Q)
-        assert perm.order == (0, 2, 1)  # d1, d3, d2
+        assert rank_by(micro_table, Measure.Q).tolist() == [0, 2, 1]  # d1, d3, d2
 
     def test_rank_by_f(self, micro_table):
-        perm = rank_by(micro_table, Measure.F)
-        assert perm.order == (2, 0, 1)  # d3, d1, d2
+        assert rank_by(micro_table, Measure.F).tolist() == [2, 0, 1]  # d3, d1, d2
 
     def test_ties_keep_ingestion_order(self):
         corpus = ingest_jsonl([
@@ -112,34 +110,34 @@ class TestRankBy:
             '{"id": "c", "text": "w"}',
         ])
         table = score_corpus(corpus, Query(("w",)))
-        assert rank_by(table, Measure.F).order == (0, 1, 2)
+        assert rank_by(table, Measure.F).tolist() == [0, 1, 2]
 
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_scale_invariance(self, micro_table, factor):
         scaled = _scaled_table(micro_table, factor)
-        assert rank_by(scaled, Measure.F).order == rank_by(micro_table, Measure.F).order
+        assert rank_by(scaled, Measure.F).tolist() == rank_by(micro_table, Measure.F).tolist()
         np.testing.assert_allclose(scaled.f, micro_table.f, rtol=1e-12)
 
 
 class TestMutualSequence:
     def test_f_of_rank_q(self, micro_table):
         seq = mutual_sequence(micro_table, Measure.Q, Measure.F)
-        np.testing.assert_allclose(seq.values, MICRO_MUTUAL_F_OF_Q, atol=1e-12)
+        np.testing.assert_allclose(seq, MICRO_MUTUAL_F_OF_Q, atol=1e-12)
 
     def test_q_of_rank_q_is_sorted(self, micro_table):
         seq = mutual_sequence(micro_table, Measure.Q, Measure.Q)
-        np.testing.assert_allclose(seq.values, sorted(MICRO_Q, reverse=True), atol=1e-12)
-        assert np.all(np.diff(seq.values) <= 0)
+        np.testing.assert_allclose(seq, sorted(MICRO_Q, reverse=True), atol=1e-12)
+        assert np.all(np.diff(seq) <= 0)
 
     def test_self_ranked_is_sorted_permutation(self, micro_table):
         for m in (Measure.F, Measure.Q):
             seq = mutual_sequence(micro_table, m, m)
             np.testing.assert_allclose(
-                seq.values, np.sort(micro_table.scores(m))[::-1], atol=0
+                seq, np.sort(micro_table.scores(m))[::-1], atol=0
             )
 
     def test_length_matches_corpus(self, micro_table):
-        assert mutual_sequence(micro_table, Measure.Q, Measure.F).values.size == 3
+        assert mutual_sequence(micro_table, Measure.Q, Measure.F).size == 3
 
     def test_zero_score_exclusion(self):
         corpus = ingest_jsonl([
@@ -149,9 +147,9 @@ class TestMutualSequence:
         table = score_corpus(corpus, Query(("alpha",)))
         full = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=True)
         trimmed = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=False)
-        assert full.values.size == 2
-        assert trimmed.values.size == 1
-        assert trimmed.values[0] == 1.0
+        assert full.size == 2
+        assert trimmed.size == 1
+        assert trimmed[0] == 1.0
 
 
 class TestCsvRoundTrip:
