@@ -1,6 +1,6 @@
 """Relevance scoring of document corpora and fractal analysis of rank sequences."""
 
-from fracrank.corpus import Corpus, Document, Query, count_entries, ingest_jsonl, tokenize
+from fracrank.corpus import Document, Query, ingest_jsonl, tokenize
 from fracrank.relevance import (
     Measure,
     RelevanceTable,

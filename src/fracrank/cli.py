@@ -117,7 +117,7 @@ def run_score(cfg: ScoreConfig, outdir: Path) -> None:
     query = Query.from_string(cfg.query)
     table = score_corpus(corpus, query)
     summary = _json({
-        "n_documents": corpus.size,
+        "n_documents": len(corpus),
         "n_terms": len(query.terms),
         "n_zero_score": int(table.zero_score.sum()),
     })
@@ -347,7 +347,11 @@ def rerun(manifest, out):
         raise click.ClickException(f"manifest has unknown command {command!r}")
     config_cls, runner = _RUNNERS[command]
     cfg = _config_from_manifest(config_cls, dict(record.get("config", {})))
-    _run(runner, cfg, out)
+    try:
+        _run(runner, cfg, out)
+    except click.UsageError as exc:
+        # A runner's usage error here is a bad manifest value, not bad rerun arguments.
+        raise click.ClickException(f"bad manifest config: {exc.message}") from exc
 
 
 if __name__ == "__main__":

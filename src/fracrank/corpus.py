@@ -1,11 +1,12 @@
-"""Corpus ingestion: tokenization, term counting, and line-delimited JSON loading."""
+"""Corpus ingestion: tokenization, per-document term counts, and line-delimited JSON loading."""
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable
 
 # Maximal runs of Unicode alphanumerics; underscore and punctuation are separators.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -26,45 +27,11 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Document:
-    """A tokenized document. ``length`` is the token count and is always >= 1."""
+    """A tokenized document: token count ``length`` (>= 1) and per-term ``counts``."""
 
     id: str
-    tokens: tuple[str, ...]
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        if len(self.tokens) < 1:
-            raise CorpusError(f"document {self.id!r} has no tokens")
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """An ordered, immutable collection of documents with unique ids."""
-
-    documents: tuple[Document, ...]
-
-    def __post_init__(self):
-        if len(self.documents) < 1:
-            raise CorpusError("corpus must contain at least one document")
-        seen: set[str] = set()
-        for doc in self.documents:
-            if doc.id in seen:
-                raise CorpusError(f"duplicate document id {doc.id!r}")
-            seen.add(doc.id)
-
-    @property
-    def size(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
-
-    def __len__(self) -> int:
-        return len(self.documents)
+    length: int
+    counts: Counter
 
 
 @dataclass(frozen=True)
@@ -84,27 +51,16 @@ class Query:
     @classmethod
     def from_string(cls, text: str) -> "Query":
         """Build a query from whitespace/punctuation separated text, deduplicating."""
-        seen: list[str] = []
-        for tok in tokenize(text):
-            if tok not in seen:
-                seen.append(tok)
-        return cls(tuple(seen))
+        return cls(tuple(dict.fromkeys(tokenize(text))))
 
 
-def count_entries(doc: Document, term: str) -> int:
-    """Number of tokens in ``doc`` exactly equal to ``term`` (already lowercase)."""
-    return sum(1 for t in doc.tokens if t == term)
-
-
-def ingest_jsonl(lines: Iterable[str] | str) -> Corpus:
-    """Build a Corpus from line-delimited JSON records with ``id`` and ``text`` fields.
+def ingest_jsonl(lines: Iterable[str]) -> tuple[Document, ...]:
+    """Documents from line-delimited JSON records with ``id`` and ``text`` fields.
 
     Documents keep input order. Rejects malformed lines (by line number),
-    documents that tokenize to zero tokens, and duplicate ids. An optional
-    ``meta`` object is preserved on the document.
+    documents that tokenize to zero tokens, duplicate ids and empty input.
+    Other fields, such as ``meta``, are ignored.
     """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
@@ -128,15 +84,14 @@ def ingest_jsonl(lines: Iterable[str] | str) -> Corpus:
             raise CorpusError(
                 f"line {lineno}: document {doc_id!r} is empty after tokenization"
             )
-        meta = rec.get("meta") or {}
-        docs.append(Document(id=doc_id, tokens=tuple(tokens), meta=meta))
+        docs.append(Document(doc_id, len(tokens), Counter(tokens)))
         seen.add(doc_id)
     if not docs:
         raise CorpusError("no documents in input")
-    return Corpus(tuple(docs))
+    return tuple(docs)
 
 
-def ingest_jsonl_path(path) -> Corpus:
+def ingest_jsonl_path(path) -> tuple[Document, ...]:
     """ingest_jsonl over a UTF-8 file on disk."""
     with open(path, encoding="utf-8") as fh:
         return ingest_jsonl(fh)

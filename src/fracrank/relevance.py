@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from fracrank.corpus import Corpus, Query, count_entries
+from fracrank.corpus import Document, Query
 from fracrank.table import format_table, read_table
 
 
@@ -41,9 +41,7 @@ class Measure(str, enum.Enum):
 class RelevanceTable:
     """Per-document raw and normalized scores, in ingestion order.
 
-    ``f_max_raw`` / ``q_max_raw`` are the corpus maxima of the raw scores;
-    ``f`` and ``q`` are the raw scores divided by them.  ``zero_score[i]``
-    flags documents containing no query term at all.
+    ``f`` and ``q`` are the raw scores divided by their corpus maxima.
     """
 
     ids: tuple[str, ...]
@@ -51,13 +49,11 @@ class RelevanceTable:
     raw_q: np.ndarray
     f: np.ndarray
     q: np.ndarray
-    f_max_raw: float
-    q_max_raw: float
-    zero_score: np.ndarray
 
     @property
-    def size(self) -> int:
-        return len(self.ids)
+    def zero_score(self) -> np.ndarray:
+        """Flags documents containing no query term at all."""
+        return self.raw_f == 0.0
 
     def scores(self, measure: Measure) -> np.ndarray:
         return self.f if measure is Measure.F else self.q
@@ -68,31 +64,23 @@ class RelevanceTable:
 
     @classmethod
     def from_csv(cls, path) -> "RelevanceTable":
-        """Read a scores.csv; the maxima and zero-score flags are recomputed from raw F and Q."""
-        ids, raw_f, raw_q, f, q = read_table(path, _CSV_HEADER, text_columns=1)
-        return cls(
-            ids=ids,
-            raw_f=raw_f,
-            raw_q=raw_q,
-            f=f,
-            q=q,
-            f_max_raw=float(raw_f.max()),
-            q_max_raw=float(raw_q.max()),
-            zero_score=raw_f == 0.0,
-        )
+        """Read a scores.csv."""
+        return cls(*read_table(path, _CSV_HEADER, text_columns=1))
 
 
-def score_corpus(corpus: Corpus, query: Query) -> RelevanceTable:
+def score_corpus(documents: tuple[Document, ...], query: Query) -> RelevanceTable:
     """Score every document on both measures and normalize by the raw maxima.
 
-    Raises RelevanceError if no document contains any query term (both maxima
-    would be zero, so normalization is undefined).
+    Raises RelevanceError for an empty corpus, or if no document contains any
+    query term (both maxima would be zero, so normalization is undefined).
     """
-    n = corpus.size
+    if not documents:
+        raise RelevanceError("empty corpus")
+    n = len(documents)
     raw_f = np.zeros(n)
     raw_q = np.zeros(n)
-    for i, doc in enumerate(corpus):
-        counts = [count_entries(doc, term) for term in query.terms]
+    for i, doc in enumerate(documents):
+        counts = [doc.counts[term] for term in query.terms]
         raw_f[i] = sum(counts)
         raw_q[i] = sum(math.log(m + 1) for m in counts) / doc.length
     f_max = float(raw_f.max())
@@ -100,21 +88,16 @@ def score_corpus(corpus: Corpus, query: Query) -> RelevanceTable:
     if f_max == 0.0:
         raise RelevanceError("query matches nothing: no document contains any query term")
     return RelevanceTable(
-        ids=tuple(doc.id for doc in corpus),
+        ids=tuple(doc.id for doc in documents),
         raw_f=raw_f,
         raw_q=raw_q,
         f=raw_f / f_max,
         q=raw_q / q_max,
-        f_max_raw=f_max,
-        q_max_raw=q_max,
-        zero_score=raw_f == 0.0,
     )
 
 
 def rank_by(table: RelevanceTable, measure: Measure) -> np.ndarray:
     """Document indices by descending score (stable sort); ties go to the earlier document."""
-    if table.size == 0:
-        raise RelevanceError("empty relevance table")
     return np.argsort(-table.scores(measure), kind="stable")
 
 

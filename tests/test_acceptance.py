@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Tolerances are fixed here and are not calibration knobs.
 """
 
-import importlib.util
 import json
 import math
 import time
@@ -22,7 +21,7 @@ from fracrank.rankstats import empirical_cdf_map, occupancy_stats, poincare_map,
 from fracrank.relevance import Measure, mutual_sequence, score_corpus
 from fracrank.synth import fgn, power_law_ranks, white_noise
 
-from conftest import MICRO_CORPUS
+from conftest import MICRO_CORPUS, load_brute_force_oracle
 
 N_SEEDS = 50
 SERIES_LEN = 8192
@@ -74,16 +73,8 @@ def test_fractal_dimension_identity():
     report("fractal dimension identity D = 2 - H", ok)
 
 
-def _load_brute_force_oracle():
-    path = Path(__file__).parent.parent / "scripts" / "verify_micro_corpus.py"
-    spec = importlib.util.spec_from_file_location("verify_micro_corpus", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_micro_corpus_golden():
-    oracle = _load_brute_force_oracle()
+    oracle = load_brute_force_oracle()
     ids, f_expected, q_expected = oracle.brute_force_scores(MICRO_CORPUS, ["alpha", "beta"])
     mutual_expected = oracle.brute_force_mutual(ids, f_expected, q_expected)
 

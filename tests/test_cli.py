@@ -376,7 +376,8 @@ class TestRerun:
         assert read_dir(tmp_path / "b") == {"manifest.json": text.encode(),
                                             "series.csv": direct.read_bytes()}
 
-    @pytest.mark.parametrize("case", ["missing_input", "not_json", "wrong_type"])
+    @pytest.mark.parametrize("case", ["missing_input", "not_json", "wrong_type",
+                                      "unknown_kind", "short_length", "no_input"])
     def test_broken_manifest_clean_error(self, runner, tmp_path, case):
         sdir = tmp_path / "s"
         run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
@@ -392,11 +393,20 @@ class TestRerun:
         elif case == "not_json":
             manifest.write_text('{"command": "synth", "config": {')
             message = "cannot read manifest"
+        elif case == "no_input":
+            manifest.write_text(json.dumps({"command": "analyze",
+                                            "config": {"scores": None, "series": None}}))
+            message = "bad manifest config: exactly one of --scores or --series is required"
         else:
+            key, value, detail = {
+                "wrong_type": ("length", "x", "length = 'x' is not int"),
+                "unknown_kind": ("kind", "pink", "unknown generator kind 'pink'"),
+                "short_length": ("length", 1, "length must be >= 2"),
+            }[case]
             record = json.loads((sdir / "manifest.json").read_text())
-            record["config"]["length"] = "x"
+            record["config"][key] = value
             manifest.write_text(json.dumps(record))
-            message = "bad manifest config: length = 'x' is not int"
+            message = f"bad manifest config: {detail}"
         result = runner.invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "b")],
                                catch_exceptions=False)
         assert result.exit_code == 1

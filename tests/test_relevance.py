@@ -1,9 +1,12 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracrank.corpus import Corpus, Document, Query, ingest_jsonl
+from fracrank.corpus import CorpusError, Document, Query, ingest_jsonl, ingest_jsonl_path
 from fracrank.relevance import (
     Measure,
     RelevanceError,
@@ -14,7 +17,13 @@ from fracrank.relevance import (
 )
 from fracrank.table import write_atomic
 
-from conftest import MICRO_F, MICRO_MUTUAL_F_OF_Q, MICRO_Q, MICRO_Q_RAW
+from conftest import (
+    MICRO_F,
+    MICRO_MUTUAL_F_OF_Q,
+    MICRO_Q,
+    MICRO_Q_RAW,
+    load_brute_force_oracle,
+)
 
 
 class TestScoreCorpus:
@@ -44,6 +53,10 @@ class TestScoreCorpus:
         with pytest.raises(RelevanceError, match="query matches nothing"):
             score_corpus(micro_corpus, Query(("zzz",)))
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(RelevanceError, match="empty corpus"):
+            score_corpus((), Query(("a",)))
+
     def test_zero_score_flagged(self):
         corpus = ingest_jsonl([
             '{"id": "a", "text": "alpha"}',
@@ -58,9 +71,8 @@ class TestScoreCorpus:
         assert micro_table.q.max() == 1.0
 
     def test_duplicate_document_leaves_others_unchanged(self, micro_corpus, micro_table):
-        docs = micro_corpus.documents
-        dup = Document(id="d1_copy", tokens=docs[0].tokens)
-        bigger = Corpus(docs + (dup,))
+        dup = Document("d1_copy", micro_corpus[0].length, micro_corpus[0].counts)
+        bigger = micro_corpus + (dup,)
         table2 = score_corpus(bigger, Query(("alpha", "beta")))
         # d1 does not hold the raw-f maximum, so duplicating it changes nothing.
         np.testing.assert_allclose(table2.f[:3], micro_table.f)
@@ -68,14 +80,13 @@ class TestScoreCorpus:
     @given(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=8),
                     min_size=1, max_size=12))
     def test_max_normalization_property(self, token_lists):
-        docs = tuple(
-            Document(id=f"d{i}", tokens=tuple(toks)) for i, toks in enumerate(token_lists)
+        corpus = tuple(
+            Document(f"d{i}", len(toks), Counter(toks)) for i, toks in enumerate(token_lists)
         )
-        corpus = Corpus(docs)
         try:
             table = score_corpus(corpus, Query(("a",)))
         except RelevanceError:
-            assert all("a" not in d.tokens for d in docs)
+            assert all("a" not in toks for toks in token_lists)
             return
         assert table.f.max() == 1.0
         assert table.q.max() == 1.0
@@ -88,11 +99,8 @@ def _scaled_table(table: RelevanceTable, factor: float) -> RelevanceTable:
         ids=table.ids,
         raw_f=table.raw_f * factor,
         raw_q=table.raw_q,
-        f=(table.raw_f * factor) / (table.f_max_raw * factor),
+        f=(table.raw_f * factor) / (table.raw_f.max() * factor),
         q=table.q,
-        f_max_raw=table.f_max_raw * factor,
-        q_max_raw=table.q_max_raw,
-        zero_score=table.zero_score,
     )
 
 
@@ -161,3 +169,36 @@ class TestCsvRoundTrip:
         assert back.ids == micro_table.ids
         np.testing.assert_allclose(back.f, micro_table.f, rtol=1e-11)
         np.testing.assert_allclose(back.q, micro_table.q, rtol=1e-11)
+
+
+class TestBruteForceOracle:
+    """score_corpus and mutual_sequence against the brute-force scorer in scripts/."""
+
+    oracle = load_brute_force_oracle()
+
+    # Query words mixed with random text over the alphabet, so that most
+    # documents hold several matches and few examples are skipped.
+    text = st.lists(st.one_of(st.sampled_from(["a", "b", "ab", "A", "B", "aB"]),
+                              st.text(alphabet="abAB é_,.-1", max_size=4)),
+                    min_size=1, max_size=8).map(" ".join)
+
+    @given(texts=st.lists(text, min_size=1, max_size=10),
+           terms=st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1, unique=True))
+    def test_matches_oracle(self, tmp_path_factory, texts, terms):
+        path = tmp_path_factory.getbasetemp() / "oracle_corpus.jsonl"
+        path.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n"
+                                for i, t in enumerate(texts)), encoding="utf-8")
+        try:
+            ids, f, q = self.oracle.brute_force_scores(path, terms)
+        except ZeroDivisionError:
+            # An empty document or no match: fracrank rejects it too; skip the example.
+            with pytest.raises((CorpusError, RelevanceError)):
+                score_corpus(ingest_jsonl_path(path), Query(tuple(terms)))
+            assume(False)
+        table = score_corpus(ingest_jsonl_path(path), Query(tuple(terms)))
+        # Both sides do the same float operations in the same order: compare exactly.
+        assert table.ids == tuple(ids)
+        assert table.f.tolist() == f
+        assert table.q.tolist() == q
+        assert (mutual_sequence(table, Measure.Q, Measure.F).tolist()
+                == self.oracle.brute_force_mutual(ids, f, q))
