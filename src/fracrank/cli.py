@@ -25,6 +25,7 @@ from fracrank.fractal import (
     hurst_regression,
 )
 from fracrank.rankstats import (
+    MAX_TRIM,
     RankStatsError,
     empirical_cdf_map,
     occupancy_stats,
@@ -113,8 +114,8 @@ def _manifest(command: str, config) -> str:
 
 
 def run_score(cfg: ScoreConfig, outdir: Path) -> None:
-    corpus = ingest_jsonl_path(cfg.corpus)
     query = Query.from_string(cfg.query)
+    corpus = ingest_jsonl_path(cfg.corpus, query.terms)
     table = score_corpus(corpus, query)
     summary = _json({
         "n_documents": len(corpus),
@@ -141,6 +142,9 @@ def _load_sequence(cfg: AnalyzeConfig) -> np.ndarray:
 
 
 def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
+    manifest = _manifest("analyze", cfg)  # rejects a non-finite option before any work
+    if not 0.0 <= cfg.trim <= MAX_TRIM:
+        raise click.UsageError(f"--trim must be in [0, {MAX_TRIM}]")
     values = _load_sequence(cfg)
     summary: dict = {"n_values": int(values.size)}
 
@@ -182,7 +186,6 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
         summary["zipf_error"] = str(exc)
 
     summary_json = _json(summary)
-    manifest = _manifest("analyze", cfg)
     write_atomic(outdir / "sequence.csv", write_series_csv(values))
     write_atomic(outdir / "dfa.csv", curve.to_csv())
     write_atomic(outdir / "hurst_pointwise.csv",

@@ -8,8 +8,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-# Maximal runs of Unicode alphanumerics; underscore and punctuation are separators.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every ASCII character that is not a letter or digit, mapped to a space.
+_ASCII_SEP = {c: " " for c in range(128) if not chr(c).isalnum()}
 
 
 class CorpusError(ValueError):
@@ -21,8 +21,11 @@ def tokenize(text: str) -> list[str]:
 
     Every maximal run of Unicode letters/digits becomes one token; all other
     characters act as separators. Total function: empty input gives [].
+    Separators become spaces before lowercasing, so each token lowercases as alone.
     """
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+    if text.isascii():
+        return text.translate(_ASCII_SEP).lower().split()
+    return re.sub(r"[\W_]+", " ", text).lower().split()
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,13 @@ class Query:
         return cls(tuple(dict.fromkeys(tokenize(text))))
 
 
-def ingest_jsonl(lines: Iterable[str]) -> tuple[Document, ...]:
+def ingest_jsonl(lines: Iterable[str], terms: Iterable[str] | None = None) -> tuple[Document, ...]:
     """Documents from line-delimited JSON records with ``id`` and ``text`` fields.
 
-    Documents keep input order. Rejects malformed lines (by line number),
-    documents that tokenize to zero tokens, duplicate ids and empty input.
-    Other fields, such as ``meta``, are ignored.
+    Documents keep input order. ``counts`` counts every token, or with ``terms``
+    only those (lowercase) terms, which is all scoring reads. Rejects malformed
+    lines (by line number), documents that tokenize to zero tokens, duplicate
+    ids and empty input. Other fields, such as ``meta``, are ignored.
     """
     docs: list[Document] = []
     seen: set[str] = set()
@@ -84,14 +88,15 @@ def ingest_jsonl(lines: Iterable[str]) -> tuple[Document, ...]:
             raise CorpusError(
                 f"line {lineno}: document {doc_id!r} is empty after tokenization"
             )
-        docs.append(Document(doc_id, len(tokens), Counter(tokens)))
+        counts = Counter(tokens if terms is None else {t: tokens.count(t) for t in terms})
+        docs.append(Document(doc_id, len(tokens), counts))
         seen.add(doc_id)
     if not docs:
         raise CorpusError("no documents in input")
     return tuple(docs)
 
 
-def ingest_jsonl_path(path) -> tuple[Document, ...]:
+def ingest_jsonl_path(path, terms: Iterable[str] | None = None) -> tuple[Document, ...]:
     """ingest_jsonl over a UTF-8 file on disk."""
     with open(path, encoding="utf-8") as fh:
-        return ingest_jsonl(fh)
+        return ingest_jsonl(fh, terms)

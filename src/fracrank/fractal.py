@@ -129,7 +129,8 @@ def dfa(series, windows=None) -> FluctuationCurve:
     """Detrended fluctuation analysis with linear detrending.
 
     D(n) is the RMS over all retained profile points of the detrended
-    residuals; alpha is the OLS slope of log10 D vs log10 n.
+    residuals; alpha is the OLS slope of log10 D vs log10 n over at least 4
+    distinct windows.
     """
     x = np.asarray(series, dtype=float)
     if x.size < 16:
@@ -139,10 +140,10 @@ def dfa(series, windows=None) -> FluctuationCurve:
     if windows is None:
         windows = default_dfa_windows(x.size)
     windows = np.unique(np.asarray(windows, dtype=int))
-    if windows.size == 0:
-        raise ValueError("empty window grid")
-    if windows.min() < 4 or windows.max() > x.size // 4:
+    if windows.size and (windows[0] < 4 or windows[-1] > x.size // 4):
         raise ValueError("windows must satisfy 4 <= n <= N/4")
+    if windows.size < 4:
+        raise DegenerateSeriesError("insufficient scaling range: fewer than 4 distinct windows")
     prof = profile(x)
     d = np.empty(windows.size)
     for i, n in enumerate(windows):

@@ -13,6 +13,8 @@ from fracrank.table import format_pairs
 
 # 2^24 int64 cell counts are 128 MiB.
 MAX_GRID_CELLS = 1 << 24
+# Largest share of ranks zipf_fit may trim from each end.
+MAX_TRIM = 0.25
 
 
 class RankStatsError(ValueError):
@@ -66,8 +68,8 @@ def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
     """
     vals = np.asarray(sequence, dtype=float)
     n = vals.size
-    if not 0.0 <= trim_fraction <= 0.25:
-        raise RankStatsError("trim_fraction must be in [0, 0.25]")
+    if not 0.0 <= trim_fraction <= MAX_TRIM:
+        raise RankStatsError(f"trim_fraction must be in [0, {MAX_TRIM}]")
     if np.any(np.diff(vals) > 0):
         raise RankStatsError("sequence must be sorted non-increasing")
     t = int(np.floor(trim_fraction * n))

@@ -36,20 +36,24 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cells(column) -> list[str]:
-    """Formatted fields of one column chunk: quoted text, or numbers to 12 digits."""
-    if not isinstance(column, np.ndarray):
-        return [_quote(text) for text in column]
+def _lines(column: np.ndarray) -> str:
+    """A numeric column chunk as text, each value to 12 digits on its own line."""
     if not np.isfinite(column).all():
         raise TableError("non-finite value in a table column")
     # One % over a repeated format formats the whole chunk in C, faster than
     # a call per value; the fields are the same bytes as "%.12g" % x.
-    return ("\n".join(["%.12g"] * len(column)) % tuple(column.tolist())).split("\n")
+    return ("%.12g\n" * len(column)) % tuple(column.tolist())
+
+
+def _cells(column) -> list[str]:
+    """Formatted fields of one column chunk: quoted text, or numbers to 12 digits."""
+    if not isinstance(column, np.ndarray):
+        return [_quote(text) for text in column]
+    return _lines(column).splitlines()
 
 
 def _rows(cells: list[list[str]]) -> str:
-    rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-    return "\n".join(rows) + "\n"
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def format_table(header: Sequence[str], columns: Sequence) -> Iterator[str]:
@@ -59,7 +63,11 @@ def format_table(header: Sequence[str], columns: Sequence) -> Iterator[str]:
     """
     yield ",".join(header) + "\n"
     for lo in range(0, len(columns[0]), CHUNK_ROWS):
-        yield _rows([_cells(column[lo : lo + CHUNK_ROWS]) for column in columns])
+        chunk = [column[lo : lo + CHUNK_ROWS] for column in columns]
+        if len(chunk) == 1 and isinstance(chunk[0], np.ndarray):
+            yield _lines(chunk[0])  # one numeric column: its lines are the rows
+        else:
+            yield _rows([_cells(column) for column in chunk])
 
 
 def format_pairs(header: Sequence[str], values: np.ndarray) -> Iterator[str]:
@@ -70,6 +78,12 @@ def format_pairs(header: Sequence[str], values: np.ndarray) -> Iterator[str]:
         yield _rows([cells[:-1], cells[1:]])
 
 
+def _umask() -> int:
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Write text chunks to a temp file beside ``path``, then rename it into place."""
     path = Path(path)
@@ -78,6 +92,8 @@ def write_atomic(path: Path, chunks: Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+            # mkstemp creates the file 0600; give it the mode open() would.
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -69,7 +69,21 @@ OLD_SYNTH_SERIES = {
 }
 
 
+# scores.csv for the micro corpus and query "alpha beta", as the regex tokenizer
+# and full per-token counts produced it.
+MICRO_SCORES_CSV = """id,raw_f,raw_q,f,q
+d1,3,0.597253156409,0.75,1
+d2,1,0.34657359028,0.25,0.580279210852
+d3,4,0.402359478109,1,0.673683301278
+"""
+
+
 class TestScore:
+    def test_micro_corpus_golden_bytes(self, runner, tmp_path):
+        run_ok(runner, ["score", "--corpus", str(MICRO_CORPUS),
+                        "--query", "Alpha, beta alpha", "--out", str(tmp_path)])
+        assert (tmp_path / "scores.csv").read_bytes() == MICRO_SCORES_CSV.encode()
+
     def test_micro_corpus(self, runner, tmp_path):
         run_ok(runner, ["score", "--corpus", str(MICRO_CORPUS),
                         "--query", "alpha beta", "--out", str(tmp_path)])
@@ -249,6 +263,38 @@ class TestAnalyze:
         for key in ("alpha", "h_regression"):
             assert large[key] == pytest.approx(plain[key], abs=1e-9)
 
+    @pytest.mark.parametrize("trim", ["2", "-1", "0.26"])
+    def test_trim_out_of_range_is_usage_error(self, runner, tmp_path, trim):
+        sdir = tmp_path / "s"
+        run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
+                        "--out", str(sdir)])
+        result = runner.invoke(main, ["analyze", "--series", str(sdir / "series.csv"),
+                                      "--trim", trim, "--out", str(tmp_path / "a")],
+                               catch_exceptions=False)
+        assert result.exit_code == 2
+        assert "--trim must be in [0, 0.25]" in result.output
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("trim", ["0", "0.25"])
+    def test_trim_bounds_accepted(self, runner, tmp_path, trim):
+        sdir = tmp_path / "s"
+        run_ok(runner, ["synth", "--kind", "power", "--beta", "1", "--len", "256",
+                        "--seed", "1", "--out", str(sdir)])
+        run_ok(runner, ["analyze", "--series", str(sdir / "series.csv"),
+                        "--trim", trim, "--out", str(tmp_path / "a")])
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert "zipf_error" not in summary and summary["zipf_n_used"] > 0
+
+    def test_repeated_dfa_windows_rejected(self, runner, tmp_path):
+        series = write_series(tmp_path / "w.csv", white_noise(512, 1))
+        result = runner.invoke(main, ["analyze", "--series", str(series),
+                                      "--dfa-windows", "4,4,4,4", "--out", str(tmp_path / "a")],
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "dfa failed: insufficient scaling range: fewer than 4 distinct windows" \
+            in result.output
+        assert not (tmp_path / "a").exists()
+
     def test_grid_bound(self, runner, tmp_path):
         # G = 10^5 would be 10^10 cell counts; it is rejected before any allocation.
         sdir = tmp_path / "s"
@@ -377,7 +423,8 @@ class TestRerun:
                                             "series.csv": direct.read_bytes()}
 
     @pytest.mark.parametrize("case", ["missing_input", "not_json", "wrong_type",
-                                      "unknown_kind", "short_length", "no_input"])
+                                      "unknown_kind", "short_length", "no_input",
+                                      "trim_out_of_range"])
     def test_broken_manifest_clean_error(self, runner, tmp_path, case):
         sdir = tmp_path / "s"
         run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
@@ -397,6 +444,13 @@ class TestRerun:
             manifest.write_text(json.dumps({"command": "analyze",
                                             "config": {"scores": None, "series": None}}))
             message = "bad manifest config: exactly one of --scores or --series is required"
+        elif case == "trim_out_of_range":
+            run_ok(runner, ["analyze", "--series", str(sdir / "series.csv"),
+                            "--out", str(tmp_path / "a")])
+            record = json.loads((tmp_path / "a" / "manifest.json").read_text())
+            record["config"]["trim"] = 2.0
+            manifest.write_text(json.dumps(record))
+            message = "bad manifest config: --trim must be in [0, 0.25]"
         else:
             key, value, detail = {
                 "wrong_type": ("length", "x", "length = 'x' is not int"),

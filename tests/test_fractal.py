@@ -192,6 +192,32 @@ class TestDfa:
         assert grid.min() >= 4 and grid.max() <= 2048
         assert np.all(np.diff(grid) > 0)
 
+    @pytest.mark.filterwarnings("error")
+    @given(st.lists(st.integers(min_value=-2, max_value=140), min_size=1, max_size=8))
+    def test_any_window_list_fits_or_named_error(self, windows):
+        # Any integer list is a window list analyze accepts; 512 points allow 4..128.
+        x = white_noise(512, 3)
+        if min(windows) < 4 or max(windows) > 128:
+            with pytest.raises(ValueError, match="windows must satisfy 4 <= n <= N/4"):
+                dfa(x, windows=windows)
+        elif len(set(windows)) < 4:
+            with pytest.raises(DegenerateSeriesError, match="fewer than 4 distinct windows"):
+                dfa(x, windows=windows)
+        else:
+            curve = dfa(x, windows=windows)
+            assert curve.windows.size == len(set(windows))
+            assert np.isfinite(curve.alpha) and np.isfinite(curve.alpha_r2)
+            assert np.isfinite(curve.d).all()
+
+    @pytest.mark.parametrize("n", [16, 20, 27])
+    def test_short_series_default_grid_rejected(self, n):
+        # The default grid on 16-27 points collapses to fewer than 4 windows.
+        with pytest.raises(DegenerateSeriesError, match="fewer than 4 distinct windows"):
+            dfa(white_noise(n, 0))
+
+    def test_default_grid_from_28_points(self):
+        assert np.isfinite(dfa(white_noise(28, 0)).alpha)
+
 
 class TestRsStatistic:
     def test_alternating(self):

@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -85,6 +87,21 @@ def test_round_trip(tmp_path_factory, rows):
     back_ids, back_x = read_table(path, ("id", "x"), text_columns=1)
     assert back_ids == ids
     assert back_x.tolist() == [float("%.12g" % v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_atomic_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    os.chmod(path, 0o600 if mode == 0o644 else 0o644)
+    old = os.umask(umask)
+    try:
+        write_atomic(path, ["x\n"])
+        write_atomic(tmp_path / "new.csv", ["x\n"])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == mode
 
 
 class TestReader:
