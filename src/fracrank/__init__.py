@@ -14,7 +14,6 @@ from fracrank.fractal import (
     dfa,
     hurst_pointwise,
     hurst_regression,
-    profile,
     rs_statistic,
 )
 from fracrank.rankstats import (

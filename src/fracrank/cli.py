@@ -163,7 +163,6 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     summary["h_regression_r2"] = _g12(hres.h_r2)
     summary["fractal_dim"] = _g12(hres.fractal_dim)
     points, _ = hurst_pointwise(values)
-    prefixes, h_pointwise = np.array(points, dtype=float).reshape(-1, 2).T
 
     # Return map needs coordinates in [0,1]; rank-map anything else.
     cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
@@ -188,8 +187,7 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     summary_json = _json(summary)
     write_atomic(outdir / "sequence.csv", write_series_csv(values))
     write_atomic(outdir / "dfa.csv", curve.to_csv())
-    write_atomic(outdir / "hurst_pointwise.csv",
-                 format_table(("N", "h"), [prefixes, h_pointwise]))
+    write_atomic(outdir / "hurst_pointwise.csv", format_table(("N", "h"), points.T))
     write_atomic(outdir / "poincare.csv", pts.to_csv())
     write_atomic(outdir / "summary.json", [summary_json])
     write_atomic(outdir / "manifest.json", [manifest])
@@ -243,8 +241,15 @@ def _run(runner, cfg, out) -> None:
 def _config_from_manifest(config_cls, raw: dict):
     """The manifest's config as ``config_cls``, each value checked against its field's type."""
     for key in ("dfa_windows", "rs_windows"):
-        if isinstance(raw.get(key), list):
-            raw[key] = tuple(raw[key])
+        value = raw.get(key)
+        if isinstance(value, list):
+            # The estimators cast windows with int(), which would truncate 4.7 and
+            # read true as 1, so only exact ints pass.
+            if not all(type(w) is int for w in value):
+                raise click.ClickException(
+                    f"bad manifest config: {key} = {value!r} is not a list of integers"
+                )
+            raw[key] = tuple(value)
     for key, hint in typing.get_type_hints(config_cls).items():
         if key not in raw:
             continue

@@ -74,7 +74,7 @@ def _overflow_checked(estimator):
     return checked
 
 
-def profile(series) -> np.ndarray:
+def _profile(series) -> np.ndarray:
     """Cumulative sum of the mean-centered series: y(k) = sum_{i<=k} (x_i - mean)."""
     x = np.asarray(series, dtype=float)
     if x.size < 2:
@@ -82,32 +82,26 @@ def profile(series) -> np.ndarray:
     return np.cumsum(x - x.mean())
 
 
-def _line_fit(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row OLS line a*k + b through (k, y_k), k = 1..n, from the closed normal equations."""
-    n = rows.shape[1]
-    k = np.arange(1, n + 1, dtype=float)
-    sk = k.sum()
-    skk = (k * k).sum()
-    denom = n * skk - sk * sk
-    sy = rows.sum(axis=1)
-    sky = rows @ k
-    a = (n * sky - sk * sy) / denom
-    b = (sy * skk - sk * sky) / denom
-    return a, b
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares line slope * x + intercept through y, fit along y's last axis.
+
+    Closed form on centered x. einsum forms each row's dot product on its own,
+    so a row's bits depend neither on the other rows nor on BLAS threads.
+    """
+    xc = x - x.mean()
+    slope = np.einsum("...i,i->...", y, xc) / (xc * xc).sum()
+    intercept = y.mean(axis=-1) - slope * x.mean()
+    return slope, intercept
 
 
-def default_dfa_windows(n_points: int) -> np.ndarray:
-    """~20 window sizes geometrically spaced in [4, N/4], deduplicated."""
-    hi = n_points // 4
-    if hi < 4:
-        raise ValueError("series too short for DFA windows")
-    grid = np.unique(np.round(np.geomspace(4, hi, 20)).astype(int))
-    return grid[(grid >= 4) & (grid <= hi)]
+def _geometric_grid(lo: int, hi: int) -> np.ndarray:
+    """~20 integers geometrically spaced in [lo, hi], deduplicated."""
+    return np.unique(np.round(np.geomspace(lo, hi, 20)).astype(int))
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """OLS slope, intercept and R^2 of y against x."""
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = _line_fit(x, y)
     pred = slope * x + intercept
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -119,9 +113,9 @@ def _segment_residuals(prof: np.ndarray, n: int) -> np.ndarray:
     """Residuals of per-segment linear detrending, one row per retained segment."""
     nseg = prof.size // n
     seg = prof[: nseg * n].reshape(nseg, n)
-    a, b = _line_fit(seg)
     k = np.arange(1, n + 1, dtype=float)
-    return seg - (np.outer(a, k) + b[:, None])
+    a, b = _line_fit(k, seg)
+    return seg - (a[:, None] * k + b[:, None])
 
 
 @_overflow_checked
@@ -138,13 +132,13 @@ def dfa(series, windows=None) -> FluctuationCurve:
     if np.ptp(x) == 0.0:
         raise DegenerateSeriesError("zero fluctuation: series is constant")
     if windows is None:
-        windows = default_dfa_windows(x.size)
+        windows = _geometric_grid(4, x.size // 4)
     windows = np.unique(np.asarray(windows, dtype=int))
     if windows.size and (windows[0] < 4 or windows[-1] > x.size // 4):
         raise ValueError("windows must satisfy 4 <= n <= N/4")
     if windows.size < 4:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 distinct windows")
-    prof = profile(x)
+    prof = _profile(x)
     d = np.empty(windows.size)
     for i, n in enumerate(windows):
         resid = _segment_residuals(prof, int(n))
@@ -169,6 +163,7 @@ def _rescaled_ranges(blocks: np.ndarray) -> np.ndarray:
     return r[usable] / s[usable]
 
 
+@_overflow_checked
 def rs_statistic(series) -> float:
     """Rescaled range R/S with population standard deviation S."""
     x = np.asarray(series, dtype=float)
@@ -180,47 +175,25 @@ def rs_statistic(series) -> float:
     return float(rs[0])
 
 
-def default_prefix_grid(n_points: int) -> np.ndarray:
-    """~20 prefix lengths geometrically spaced in [16, N]."""
-    if n_points < 16:
-        raise ValueError("series too short for pointwise Hurst")
-    return np.unique(np.round(np.geomspace(16, n_points, 20)).astype(int))
-
-
 @_overflow_checked
-def hurst_pointwise(series) -> tuple[list[tuple[int, float]], list[int]]:
+def hurst_pointwise(series) -> tuple[np.ndarray, list[int]]:
     """H(N) = ln(R/S of prefix) / ln(N/2) over a geometric grid of prefix lengths.
 
-    Returns (points, skipped) where skipped lists prefix lengths whose R/S was
-    degenerate.
+    Returns (points, skipped): points is an (n, 2) array of (N, H(N)) rows, and
+    skipped lists the prefix lengths whose standard deviation was zero.
     """
     x = np.asarray(series, dtype=float)
     if x.size < 16:
         raise ValueError("hurst_pointwise needs at least 16 points")
     points: list[tuple[int, float]] = []
     skipped: list[int] = []
-    for n in default_prefix_grid(x.size):
-        n = int(n)
-        try:
-            rs = rs_statistic(x[:n])
-        except DegenerateSeriesError:
-            skipped.append(n)
-            continue
-        points.append((n, float(np.log(rs) / np.log(n / 2.0))))
-    return points, skipped
-
-
-def default_rs_windows(n_points: int) -> np.ndarray:
-    """~20 block sizes geometrically spaced in [16, N/4], deduplicated.
-
-    Blocks shorter than 16 carry a strong small-sample upward bias in R/S
-    (the N >> 1 regime does not hold there), so they are excluded by default.
-    """
-    hi = n_points // 4
-    if hi < 16:
-        raise ValueError("series too short for R/S windows")
-    grid = np.unique(np.round(np.geomspace(16, hi, 20)).astype(int))
-    return grid[(grid >= 16) & (grid <= hi)]
+    for n in _geometric_grid(16, x.size):
+        rs = _rescaled_ranges(x[None, :n])
+        if rs.size:
+            points.append((n, np.log(rs[0]) / np.log(n / 2.0)))
+        else:
+            skipped.append(int(n))
+    return np.array(points, dtype=float).reshape(-1, 2), skipped
 
 
 @_overflow_checked
@@ -236,7 +209,9 @@ def hurst_regression(series, windows=None) -> HurstResult:
     if x.size < 64:
         raise ValueError("hurst_regression needs at least 64 points")
     if windows is None:
-        windows = default_rs_windows(x.size)
+        # Blocks shorter than 16 carry a strong small-sample upward bias in R/S
+        # (the N >> 1 regime does not hold there), so they are excluded by default.
+        windows = _geometric_grid(16, x.size // 4)
     windows = np.unique(np.asarray(windows, dtype=int))
     if windows.size and (windows[0] < 2 or windows[-1] > x.size):
         raise ValueError("R/S windows must satisfy 2 <= w <= N")

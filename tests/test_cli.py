@@ -424,7 +424,7 @@ class TestRerun:
 
     @pytest.mark.parametrize("case", ["missing_input", "not_json", "wrong_type",
                                       "unknown_kind", "short_length", "no_input",
-                                      "trim_out_of_range"])
+                                      "trim_out_of_range", "float_windows", "bool_windows"])
     def test_broken_manifest_clean_error(self, runner, tmp_path, case):
         sdir = tmp_path / "s"
         run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
@@ -451,6 +451,16 @@ class TestRerun:
             record["config"]["trim"] = 2.0
             manifest.write_text(json.dumps(record))
             message = "bad manifest config: --trim must be in [0, 0.25]"
+        elif case in ("float_windows", "bool_windows"):
+            # int() would silently truncate 4.7 and read true as 1.
+            key, value = {"float_windows": ("dfa_windows", [4.7, 8.9, 16, 32]),
+                          "bool_windows": ("rs_windows", [True, 16, 32, 64])}[case]
+            run_ok(runner, ["analyze", "--series", str(sdir / "series.csv"),
+                            "--out", str(tmp_path / "a")])
+            record = json.loads((tmp_path / "a" / "manifest.json").read_text())
+            record["config"][key] = value
+            manifest.write_text(json.dumps(record))
+            message = f"bad manifest config: {key} = {value!r} is not a list of integers"
         else:
             key, value, detail = {
                 "wrong_type": ("length", "x", "length = 'x' is not int"),

@@ -1,19 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from fracrank.fractal import (
     DegenerateSeriesError,
     _line_fit,
-    default_dfa_windows,
+    _ols,
+    _profile,
     dfa,
     hurst_pointwise,
     hurst_regression,
-    profile,
     rs_statistic,
 )
 from fracrank.synth import fgn, white_noise
@@ -38,6 +42,14 @@ def naive_dfa_d(series, window):
         resid = seg - np.polyval(coeffs, k)
         sq.extend(resid**2)
     return math.sqrt(np.mean(sq))
+
+
+def polyfit_ols(x, y):
+    """Reference OLS: np.polyfit's line, with R^2 from its residuals."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = ((y - (slope * x + intercept)) ** 2).sum()
+    ss_tot = ((y - y.mean()) ** 2).sum()
+    return slope, intercept, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def naive_rs_means(series, windows):
@@ -97,21 +109,21 @@ def windows_for(data, n_points):
 
 class TestProfile:
     def test_constant_series(self):
-        np.testing.assert_allclose(profile([5.0] * 4), [0, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(_profile([5.0] * 4), [0, 0, 0, 0], atol=1e-15)
 
     def test_alternating(self):
-        np.testing.assert_allclose(profile([1, -1, 1, -1]), [1, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(_profile([1, -1, 1, -1]), [1, 0, 1, 0], atol=1e-15)
 
     def test_hand_computed(self):
-        np.testing.assert_allclose(profile([1, 2, 3]), [-1, -1, 0], atol=1e-15)
+        np.testing.assert_allclose(_profile([1, 2, 3]), [-1, -1, 0], atol=1e-15)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            profile([1.0])
+            _profile([1.0])
 
     @given(finite_series)
     def test_last_value_is_zero(self, x):
-        y = profile(x)
+        y = _profile(x)
         scale = max(1.0, np.abs(x).max())
         assert abs(y[-1]) <= x.size * 1e-9 * scale
 
@@ -120,28 +132,71 @@ class TestLocalTrend:
     """The DFA local trend of one segment: one-row cases of ``_line_fit``."""
 
     def test_exact_line(self):
-        a, b = _line_fit(np.array([[3.0, 5.0, 7.0]]))
+        a, b = _line_fit(np.arange(1.0, 4.0), np.array([[3.0, 5.0, 7.0]]))
         assert a[0] == pytest.approx(2.0)
         assert b[0] == pytest.approx(1.0)
 
     def test_constant(self):
-        a, b = _line_fit(np.full((1, 5), 4.0))
+        a, b = _line_fit(np.arange(1.0, 6.0), np.full((1, 5), 4.0))
         assert a[0] == pytest.approx(0.0)
         assert b[0] == pytest.approx(4.0)
 
     def test_hand_ols(self):
-        a, b = _line_fit(np.array([[0.0, 1.0, 0.0]]))
+        a, b = _line_fit(np.arange(1.0, 4.0), np.array([[0.0, 1.0, 0.0]]))
         assert a[0] == pytest.approx(0.0)
         assert b[0] == pytest.approx(1 / 3)
 
     @given(finite_series)
     def test_residuals_orthogonal_to_regressors(self, y):
-        a, b = _line_fit(y[None, :])
         k = np.arange(1, y.size + 1, dtype=float)
+        a, b = _line_fit(k, y[None, :])
         resid = y - (a[0] * k + b[0])
         scale = max(1.0, np.abs(y).max()) * y.size**2
         assert abs(resid.sum()) <= 1e-8 * scale
         assert abs((resid * k).sum()) <= 1e-8 * scale
+
+    @given(npst.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(2, 80)),
+                       elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
+           st.data())
+    def test_split_rows_fit_bit_identical(self, rows, data):
+        # A row's fit must not depend on the rows fit with it, or DFA's bits
+        # would depend on how a library splits the rows (e.g. across threads).
+        k = np.arange(1, rows.shape[1] + 1, dtype=float)
+        cuts = sorted(data.draw(st.lists(st.integers(0, rows.shape[0]), max_size=5)))
+        stacked = _line_fit(k, rows)
+        parts = [_line_fit(k, part) for part in np.split(rows, cuts)]
+        for whole, pieces in zip(stacked, zip(*parts)):
+            np.testing.assert_array_equal(whole, np.concatenate(pieces))
+        row = data.draw(st.integers(0, rows.shape[0] - 1))
+        alone = _line_fit(k, rows[row])
+        assert (alone[0], alone[1]) == (stacked[0][row], stacked[1][row])
+
+
+@st.composite
+def distinct_xy(draw):
+    """Distinct x values (integers scaled by a positive float) and matching finite y."""
+    ints = draw(st.lists(st.integers(-10**4, 10**4), min_size=2, max_size=60, unique=True))
+    x = np.array(ints, dtype=float) * draw(st.floats(1e-3, 1e3))
+    y = draw(npst.arrays(np.float64, x.size,
+                         elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)))
+    return x, y
+
+
+class TestOls:
+    @given(distinct_xy())
+    def test_matches_polyfit(self, xy):
+        x, y = xy
+        # Below this spread y is constant up to rounding, and R^2 is a ratio of
+        # rounding errors in either fit.
+        assume(np.ptp(y) > 1e-6 * np.abs(y).max())
+        got = _ols(x, y)
+        want = polyfit_ols(x, y)
+        # rtol 1e-9, with an absolute floor at 1e-9 of each value's natural scale
+        # for fits whose slope or intercept cancels to ~0.
+        slope_scale = max(np.ptp(y), 1.0) / np.ptp(x)
+        scales = (slope_scale, max(np.abs(y).max(), 1.0) + slope_scale * np.abs(x).max(), 1.0)
+        for g, w, scale in zip(got, want, scales):
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9 * scale)
 
 
 class TestDfa:
@@ -188,7 +243,7 @@ class TestDfa:
         assert np.mean(alphas) == pytest.approx(0.8, abs=0.08)
 
     def test_default_windows_range(self):
-        grid = default_dfa_windows(8192)
+        grid = dfa(white_noise(8192, 0)).windows
         assert grid.min() >= 4 and grid.max() <= 2048
         assert np.all(np.diff(grid) > 0)
 
@@ -217,6 +272,34 @@ class TestDfa:
 
     def test_default_grid_from_28_points(self):
         assert np.isfinite(dfa(white_noise(28, 0)).alpha)
+
+
+DFA_BYTES = """
+import hashlib
+from fracrank.fractal import dfa
+from fracrank.synth import fgn
+for seed in range(3):
+    curve = dfa(fgn(2**20, 0.75, seed))
+    data = curve.d.tobytes() + curve.windows.tobytes() + float(curve.alpha).hex().encode()
+    print(seed, hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_dfa_bits_independent_of_blas_threads():
+    """DFA on 2^20-value fGn gives the same bytes with one and two BLAS threads.
+
+    On a host with one CPU both runs are single-threaded, so this passes trivially.
+    """
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        digests.append(subprocess.run([sys.executable, "-c", DFA_BYTES], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert digests[0] == digests[1]
+    assert len(digests[0].splitlines()) == 3
 
 
 class TestRsStatistic:
@@ -258,7 +341,8 @@ class TestRsStatistic:
 class TestHugeValues:
     """Squares and sums of ~1e200 leave the float range; ~1e100 still fits."""
 
-    @pytest.mark.parametrize("estimator", [dfa, hurst_regression, hurst_pointwise])
+    @pytest.mark.parametrize("estimator", [dfa, hurst_regression, hurst_pointwise,
+                                           rs_statistic])
     def test_overflow_named(self, estimator):
         with pytest.raises(DegenerateSeriesError, match="floating-point overflow"):
             estimator(white_noise(256, 1) * 1e200)

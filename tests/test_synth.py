@@ -79,7 +79,7 @@ class TestLinearTrend:
         assert np.ptp(linear_trend(10, 0, 4.5)) == 0
 
     def test_local_trend_recovers_coefficients(self):
-        a, b = _line_fit(linear_trend(50, -0.25, 3.0)[None, :])
+        a, b = _line_fit(np.arange(1.0, 51.0), linear_trend(50, -0.25, 3.0)[None, :])
         assert a[0] == pytest.approx(-0.25, abs=1e-12)
         assert b[0] == pytest.approx(3.0, abs=1e-10)
 
