@@ -61,10 +61,14 @@ def ingest_jsonl(lines: Iterable[str], terms: Iterable[str] | None = None) -> tu
     """Documents from line-delimited JSON records with ``id`` and ``text`` fields.
 
     Documents keep input order. ``counts`` counts every token, or with ``terms``
-    only those (lowercase) terms, which is all scoring reads. Rejects malformed
-    lines (by line number), documents that tokenize to zero tokens, duplicate
-    ids and empty input. Other fields, such as ``meta``, are ignored.
+    only those (lowercase) terms, which is all scoring reads: ``terms`` is read
+    once into a set and each token is checked against it once, so the cost does
+    not grow with the number of terms, and a term a document lacks has no key.
+    Rejects malformed lines (by line number), documents that tokenize to zero
+    tokens, duplicate ids and empty input. Other fields, such as ``meta``, are
+    ignored.
     """
+    term_set = None if terms is None else frozenset(terms)
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
@@ -88,7 +92,7 @@ def ingest_jsonl(lines: Iterable[str], terms: Iterable[str] | None = None) -> tu
             raise CorpusError(
                 f"line {lineno}: document {doc_id!r} is empty after tokenization"
             )
-        counts = Counter(tokens if terms is None else {t: tokens.count(t) for t in terms})
+        counts = Counter(tokens if term_set is None else filter(term_set.__contains__, tokens))
         docs.append(Document(doc_id, len(tokens), counts))
         seen.add(doc_id)
     if not docs:

@@ -63,8 +63,8 @@ def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
     """Fit ln(value) against rank and against ln(rank) after trimming both ends.
 
     The sequence must be sorted non-increasing; floor(trim_fraction * N) ranks
-    are dropped from each end and at least 4 strictly positive values must
-    remain. Rank numbering keeps the original 1-based positions.
+    are dropped from each end and at least 4 strictly positive values, not all
+    equal, must remain. Rank numbering keeps the original 1-based positions.
     """
     vals = np.asarray(sequence, dtype=float)
     n = vals.size
@@ -79,6 +79,9 @@ def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
         raise RankStatsError("too few points after trimming (need >= 4)")
     if np.any(window <= 0):
         raise RankStatsError("nonpositive value inside the trimmed window")
+    if window[0] == window[-1]:
+        # Sorted, so every value is equal: R² would be a ratio of rounding errors.
+        raise RankStatsError("no spread in the trimmed window")
     ranks = np.arange(t + 1, t + n_used + 1, dtype=float)
     ln_v = np.log(window)
     semi_slope, _, semi_r2 = _ols(ranks, ln_v)

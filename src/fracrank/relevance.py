@@ -80,7 +80,10 @@ def score_corpus(documents: tuple[Document, ...], query: Query) -> RelevanceTabl
     raw_f = np.zeros(n)
     raw_q = np.zeros(n)
     for i, doc in enumerate(documents):
-        counts = [doc.counts[term] for term in query.terms]
+        # A term the document lacks would add exactly 0 to F and ln(1) = 0.0 to Q,
+        # so it is skipped: the other additions keep query order and their bits.
+        held = doc.counts
+        counts = [held[term] for term in query.terms if term in held]
         raw_f[i] = sum(counts)
         raw_q[i] = sum(math.log(m + 1) for m in counts) / doc.length
     f_max = float(raw_f.max())

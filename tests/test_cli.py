@@ -295,6 +295,19 @@ class TestAnalyze:
             in result.output
         assert not (tmp_path / "a").exists()
 
+    def test_constant_zipf_window_reported(self, runner, tmp_path):
+        # 90 equal values with 5 larger and 5 smaller ones among them: DFA and R/S
+        # have spread, the 5%-trimmed sorted window has none.
+        values = np.full(100, 0.5)
+        values[[3, 22, 41, 58, 77]] = 0.9
+        values[[11, 30, 49, 68, 94]] = 0.1
+        series = write_series(tmp_path / "s.csv", values)
+        run_ok(runner, ["analyze", "--series", str(series), "--out", str(tmp_path / "a")])
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert summary["zipf_error"] == "no spread in the trimmed window"
+        assert not any(key.startswith("zipf_") and key != "zipf_error" for key in summary)
+        assert "alpha" in summary and "h_regression" in summary
+
     def test_grid_bound(self, runner, tmp_path):
         # G = 10^5 would be 10^10 cell counts; it is rejected before any allocation.
         sdir = tmp_path / "s"

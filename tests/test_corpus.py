@@ -106,6 +106,11 @@ class TestIngestTerms:
             assert set(kept.counts) <= set(terms)
             assert [kept.counts[t] for t in terms] == [every.counts[t] for t in terms]
 
+    def test_one_shot_terms_count_in_every_document(self):
+        lines = ['{"id": "a", "text": "x y x"}', '{"id": "b", "text": "x x x"}']
+        docs = ingest_jsonl(lines, (t for t in ["x", "zz"]))
+        assert [(d.counts["x"], d.counts["zz"]) for d in docs] == [(2, 0), (3, 0)]
+
     def test_path_passes_terms(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "d", "text": "Alpha beta alpha gamma"}\n', encoding="utf-8")

@@ -49,6 +49,12 @@ class TestZipfFit:
         with pytest.raises(RankStatsError, match="too few"):
             zipf_fit([2.0, 1.0, 0.5], trim_fraction=0.0)
 
+    @pytest.mark.parametrize("values, trim", [(np.full(5, 0.9), 0.0),
+                                              (np.r_[[2.0] * 5, [0.9] * 90, [0.1] * 5], 0.05)])
+    def test_no_spread_rejected(self, values, trim):
+        with pytest.raises(RankStatsError, match="no spread in the trimmed window"):
+            zipf_fit(values, trim_fraction=trim)
+
     @given(st.floats(min_value=0.2, max_value=2.0), st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=25)
     def test_scale_invariance_of_slopes(self, beta, scale):

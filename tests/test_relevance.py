@@ -182,23 +182,30 @@ class TestBruteForceOracle:
                               st.text(alphabet="abAB é_,.-1", max_size=4)),
                     min_size=1, max_size=8).map(" ".join)
 
+    # "zz" occurs in no document.
     @given(texts=st.lists(text, min_size=1, max_size=10),
-           terms=st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1, unique=True))
+           terms=st.lists(st.sampled_from(["a", "b", "ab", "zz"]), min_size=1, unique=True))
     def test_matches_oracle(self, tmp_path_factory, texts, terms):
         path = tmp_path_factory.getbasetemp() / "oracle_corpus.jsonl"
         path.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n"
                                 for i, t in enumerate(texts)), encoding="utf-8")
+        query = Query(tuple(terms))
+        # Full counts, and the query's terms only, as `score` ingests.
+        ingests = (None, query.terms)
         try:
             ids, f, q = self.oracle.brute_force_scores(path, terms)
         except ZeroDivisionError:
             # An empty document or no match: fracrank rejects it too; skip the example.
-            with pytest.raises((CorpusError, RelevanceError)):
-                score_corpus(ingest_jsonl_path(path), Query(tuple(terms)))
+            for ingest_terms in ingests:
+                with pytest.raises((CorpusError, RelevanceError)):
+                    score_corpus(ingest_jsonl_path(path, ingest_terms), query)
             assume(False)
-        table = score_corpus(ingest_jsonl_path(path), Query(tuple(terms)))
-        # Both sides do the same float operations in the same order: compare exactly.
-        assert table.ids == tuple(ids)
-        assert table.f.tolist() == f
-        assert table.q.tolist() == q
-        assert (mutual_sequence(table, Measure.Q, Measure.F).tolist()
-                == self.oracle.brute_force_mutual(ids, f, q))
+        for ingest_terms in ingests:
+            table = score_corpus(ingest_jsonl_path(path, ingest_terms), query)
+            # Both sides add the same nonzero terms in the same order (fracrank skips
+            # the exact zeros of absent terms): compare exactly.
+            assert table.ids == tuple(ids)
+            assert table.f.tolist() == f
+            assert table.q.tolist() == q
+            assert (mutual_sequence(table, Measure.Q, Measure.F).tolist()
+                    == self.oracle.brute_force_mutual(ids, f, q))
