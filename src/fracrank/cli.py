@@ -141,50 +141,52 @@ def _load_sequence(cfg: AnalyzeConfig) -> np.ndarray:
     )
 
 
+def _estimate(name: str, estimator, values: np.ndarray, windows):
+    """Run a scaling estimator; a degenerate series exits 1 as "<name> failed: ..."."""
+    try:
+        return estimator(values, windows=windows)
+    except DegenerateSeriesError as exc:
+        raise click.ClickException(f"{name} failed: {exc}") from exc
+
+
 def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     manifest = _manifest("analyze", cfg)  # rejects a non-finite option before any work
     if not 0.0 <= cfg.trim <= MAX_TRIM:
         raise click.UsageError(f"--trim must be in [0, {MAX_TRIM}]")
     values = _load_sequence(cfg)
-    summary: dict = {"n_values": int(values.size)}
-
-    try:
-        curve = dfa(values, windows=cfg.dfa_windows)
-    except DegenerateSeriesError as exc:
-        raise click.ClickException(f"dfa failed: {exc}") from exc
-    summary["alpha"] = _g12(curve.alpha)
-    summary["alpha_r2"] = _g12(curve.alpha_r2)
-
-    try:
-        hres = hurst_regression(values, windows=cfg.rs_windows)
-    except DegenerateSeriesError as exc:
-        raise click.ClickException(f"hurst_regression failed: {exc}") from exc
-    summary["h_regression"] = _g12(hres.h_regression)
-    summary["h_regression_r2"] = _g12(hres.h_r2)
-    summary["fractal_dim"] = _g12(hres.fractal_dim)
-    points, _ = hurst_pointwise(values)
-
-    # Return map needs coordinates in [0,1]; rank-map anything else.
+    # The return map comes first, so a bad --grid fails before the estimators run.
+    # It needs coordinates in [0,1]; rank-map anything else.
     cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
-    map_values = empirical_cdf_map(values) if cdf_mapped else values
-    pts = poincare_map(map_values)
+    pts = poincare_map(empirical_cdf_map(values) if cdf_mapped else values)
     occ = occupancy_stats(pts, cfg.grid)
-    summary["poincare_cdf_mapped"] = cdf_mapped
-    summary["occupied_cells"] = occ.occupied_cells
-    summary["occupied_fraction"] = _g12(occ.occupied_fraction)
-    summary["chi2_uniform"] = _g12(occ.chi2_uniform)
-
+    curve = _estimate("dfa", dfa, values, cfg.dfa_windows)
+    hres = _estimate("hurst_regression", hurst_regression, values, cfg.rs_windows)
+    points, _ = hurst_pointwise(values)
+    summary = {
+        "n_values": int(values.size),
+        "alpha": curve.alpha,
+        "alpha_r2": curve.alpha_r2,
+        "h_regression": hres.h_regression,
+        "h_regression_r2": hres.h_r2,
+        "fractal_dim": hres.fractal_dim,
+        "poincare_cdf_mapped": cdf_mapped,
+        "occupied_cells": occ.occupied_cells,
+        "occupied_fraction": occ.occupied_fraction,
+        "chi2_uniform": occ.chi2_uniform,
+    }
     try:
         zf = zipf_fit(np.sort(values)[::-1], trim_fraction=cfg.trim)
-        summary["zipf_semilog_slope"] = _g12(zf.semilog_slope)
-        summary["zipf_semilog_r2"] = _g12(zf.semilog_r2)
-        summary["zipf_loglog_slope"] = _g12(zf.loglog_slope)
-        summary["zipf_loglog_r2"] = _g12(zf.loglog_r2)
-        summary["zipf_n_used"] = zf.n_used
+        summary.update(
+            zipf_semilog_slope=zf.semilog_slope,
+            zipf_semilog_r2=zf.semilog_r2,
+            zipf_loglog_slope=zf.loglog_slope,
+            zipf_loglog_r2=zf.loglog_r2,
+            zipf_n_used=zf.n_used,
+        )
     except RankStatsError as exc:
         summary["zipf_error"] = str(exc)
 
-    summary_json = _json(summary)
+    summary_json = _json({k: _g12(v) if isinstance(v, float) else v for k, v in summary.items()})
     write_atomic(outdir / "sequence.csv", write_series_csv(values))
     write_atomic(outdir / "dfa.csv", curve.to_csv())
     write_atomic(outdir / "hurst_pointwise.csv", format_table(("N", "h"), points.T))
@@ -220,14 +222,13 @@ _RUNNERS = {
 }
 
 
-def _out_option(fn):
-    return click.option(
-        "--out",
-        envvar=OUT_ENV_VAR,
-        default=".",
-        show_default=True,
-        help=f"Output directory (env {OUT_ENV_VAR} overrides the default).",
-    )(fn)
+_out_option = click.option(
+    "--out",
+    envvar=OUT_ENV_VAR,
+    default=".",
+    show_default=True,
+    help=f"Output directory (env {OUT_ENV_VAR} overrides the default).",
+)
 
 
 def _run(runner, cfg, out) -> None:
@@ -274,69 +275,56 @@ def main():
     """Relevance scoring and fractal sequence analysis pipeline."""
 
 
-@main.command()
-@click.option("--corpus", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--query", required=True, help='Query terms, e.g. "alpha beta".')
-@_out_option
-def score(corpus, query, out):
-    """Score a line-delimited JSON corpus against a query; writes scores.csv."""
-    _run(run_score, ScoreConfig(corpus=corpus, query=query), out)
-
-
-@main.command()
-@click.option("--scores", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--series", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--ranked-by", type=click.Choice(["f", "q"]), default="q", show_default=True)
-@click.option("--read-off", type=click.Choice(["f", "q"]), default="f", show_default=True)
-@click.option("--trim", type=float, default=0.05, show_default=True)
-@click.option("--grid", type=int, default=32, show_default=True)
-@click.option("--include-zero-scores", is_flag=True, default=False)
-@click.option("--dfa-windows", default=None, help="Comma-separated DFA window sizes.")
-@click.option("--rs-windows", default=None, help="Comma-separated R/S block sizes.")
-@_out_option
-def analyze(scores, series, ranked_by, read_off, trim, grid,
-            include_zero_scores, dfa_windows, rs_windows, out):
-    """Run the full analysis bundle on a scores table or a bare series."""
-    cfg = AnalyzeConfig(
-        scores=scores,
-        series=series,
-        ranked_by=ranked_by,
-        read_off=read_off,
-        trim=trim,
-        grid=grid,
-        include_zero_scores=include_zero_scores,
-        dfa_windows=_parse_windows(dfa_windows),
-        rs_windows=_parse_windows(rs_windows),
-    )
-    _run(run_analyze, cfg, out)
-
-
-def _parse_windows(text):
+def _windows(ctx, param, text):
+    """Parse a comma-separated window list into a tuple of ints."""
     if text is None:
         return None
     try:
-        return tuple(int(t) for t in str(text).split(",") if t.strip())
+        return tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise click.UsageError(f"bad window list {text!r}") from exc
 
 
 @main.command()
+@click.option("--corpus", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--query", required=True, help='Query terms, e.g. "alpha beta".')
+@_out_option
+def score(out, **options):
+    """Score a line-delimited JSON corpus against a query; writes scores.csv."""
+    _run(run_score, ScoreConfig(**options), out)
+
+
+@main.command()
+@click.option("--scores", type=click.Path(exists=True, dir_okay=False))
+@click.option("--series", type=click.Path(exists=True, dir_okay=False))
+@click.option("--ranked-by", type=click.Choice(["f", "q"]),
+              default=AnalyzeConfig.ranked_by, show_default=True)
+@click.option("--read-off", type=click.Choice(["f", "q"]),
+              default=AnalyzeConfig.read_off, show_default=True)
+@click.option("--trim", type=float, default=AnalyzeConfig.trim, show_default=True)
+@click.option("--grid", type=int, default=AnalyzeConfig.grid, show_default=True)
+@click.option("--include-zero-scores", is_flag=True, default=AnalyzeConfig.include_zero_scores)
+@click.option("--dfa-windows", callback=_windows, help="Comma-separated DFA window sizes.")
+@click.option("--rs-windows", callback=_windows, help="Comma-separated R/S block sizes.")
+@_out_option
+def analyze(out, **options):
+    """Run the full analysis bundle on a scores table or a bare series."""
+    _run(run_analyze, AnalyzeConfig(**options), out)
+
+
+@main.command()
 @click.option("--kind", required=True, help="white | fgn | linear | power (long names accepted).")
 @click.option("--len", "length", required=True, type=int)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--h", type=float, default=None, help="Target Hurst index for fgn.")
-@click.option("--beta", type=float, default=None, help="Power-law exponent.")
-@click.option("--noise", type=float, default=0.0, show_default=True)
-@click.option("--slope", type=float, default=None)
-@click.option("--intercept", type=float, default=None)
+@click.option("--seed", type=int, default=SynthConfig.seed, show_default=True)
+@click.option("--h", type=float, help="Target Hurst index for fgn.")
+@click.option("--beta", type=float, help="Power-law exponent.")
+@click.option("--noise", type=float, default=SynthConfig.noise, show_default=True)
+@click.option("--slope", type=float)
+@click.option("--intercept", type=float)
 @_out_option
-def synth(kind, length, seed, h, beta, noise, slope, intercept, out):
+def synth(out, **options):
     """Generate a deterministic synthetic series; writes series.csv."""
-    cfg = SynthConfig(
-        kind=kind, length=length, seed=seed, h=h,
-        beta=beta, noise=noise, slope=slope, intercept=intercept,
-    )
-    _run(run_synth, cfg, out)
+    _run(run_synth, SynthConfig(**options), out)
 
 
 @main.command()

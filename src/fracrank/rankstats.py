@@ -64,7 +64,8 @@ def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
 
     The sequence must be sorted non-increasing; floor(trim_fraction * N) ranks
     are dropped from each end and at least 4 strictly positive values, not all
-    equal, must remain. Rank numbering keeps the original 1-based positions.
+    equal to 12 significant digits, must remain. Rank numbering keeps the
+    original 1-based positions.
     """
     vals = np.asarray(sequence, dtype=float)
     n = vals.size
@@ -79,8 +80,8 @@ def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
         raise RankStatsError("too few points after trimming (need >= 4)")
     if np.any(window <= 0):
         raise RankStatsError("nonpositive value inside the trimmed window")
-    if window[0] == window[-1]:
-        # Sorted, so every value is equal: R² would be a ratio of rounding errors.
+    if f"{window[0]:.12g}" == f"{window[-1]:.12g}":
+        # Sorted, so all values agree to the 12 digits fracrank writes: R² is noise.
         raise RankStatsError("no spread in the trimmed window")
     ranks = np.arange(t + 1, t + n_used + 1, dtype=float)
     ln_v = np.log(window)

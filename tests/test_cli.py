@@ -69,6 +69,32 @@ OLD_SYNTH_SERIES = {
 }
 
 
+# score and analyze manifests as the previous release wrote them, with every
+# config field, and the options of the direct run each one replays. "INPUT"
+# stands for the input file the test writes.
+OLD_RUN_MANIFESTS = {
+    "analyze_series": (
+        "analyze",
+        {"scores": None, "series": "INPUT", "ranked_by": "q", "read_off": "f", "trim": 0.1,
+         "grid": 16, "include_zero_scores": False, "dfa_windows": [8, 16, 32, 64],
+         "rs_windows": [16, 32, 64, 128]},
+        ["--series", "INPUT", "--trim", "0.1", "--grid", "16",
+         "--dfa-windows", "8,16,32,64", "--rs-windows", "16,32,64,128"],
+    ),
+    "analyze_scores": (
+        "analyze",
+        {"scores": "INPUT", "series": None, "ranked_by": "f", "read_off": "q", "trim": 0.05,
+         "grid": 32, "include_zero_scores": True, "dfa_windows": None, "rs_windows": None},
+        ["--scores", "INPUT", "--ranked-by", "f", "--read-off", "q", "--include-zero-scores"],
+    ),
+    "score": (
+        "score",
+        {"corpus": "INPUT", "query": "alpha beta"},
+        ["--corpus", "INPUT", "--query", "alpha beta"],
+    ),
+}
+
+
 # scores.csv for the micro corpus and query "alpha beta", as the regex tokenizer
 # and full per-token counts produced it.
 MICRO_SCORES_CSV = """id,raw_f,raw_q,f,q
@@ -309,15 +335,27 @@ class TestAnalyze:
         assert "alpha" in summary and "h_regression" in summary
 
     def test_grid_bound(self, runner, tmp_path):
-        # G = 10^5 would be 10^10 cell counts; it is rejected before any allocation.
+        # G = 10^5 would be 10^10 cell counts; it is rejected before any allocation,
+        # and before the estimators run: the DFA windows are bad too.
         sdir = tmp_path / "s"
         run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
                         "--out", str(sdir)])
         result = runner.invoke(main, ["analyze", "--series", str(sdir / "series.csv"),
-                                      "--grid", "100000", "--out", str(tmp_path / "a")],
+                                      "--grid", "100000", "--dfa-windows", "4,4,4,4",
+                                      "--out", str(tmp_path / "a")],
                                catch_exceptions=False)
         assert result.exit_code == 1
         assert "grid_size^2 must be <= 16777216 cells" in result.output
+        assert "dfa failed" not in result.output
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("option", ["--dfa-windows", "--rs-windows"])
+    def test_bad_window_list_is_usage_error(self, runner, tmp_path, option):
+        series = write_series(tmp_path / "w.csv", white_noise(512, 1))
+        result = runner.invoke(main, ["analyze", "--series", str(series), option, "16,x",
+                                      "--out", str(tmp_path / "a")], catch_exceptions=False)
+        assert result.exit_code == 2
+        assert "Error: bad window list '16,x'" in result.output
         assert not (tmp_path / "a").exists()
 
     def test_requires_exactly_one_input(self, runner, tmp_path):
@@ -434,6 +472,32 @@ class TestRerun:
         direct = write_series(tmp_path / "direct.csv", OLD_SYNTH_SERIES[kind]())
         assert read_dir(tmp_path / "b") == {"manifest.json": text.encode(),
                                             "series.csv": direct.read_bytes()}
+
+    @pytest.mark.parametrize("case", sorted(OLD_RUN_MANIFESTS))
+    def test_old_run_manifest_byte_identical(self, runner, tmp_path, case):
+        command, config, args = OLD_RUN_MANIFESTS[case]
+        # 80 documents; the four with i % 21 == 0 hold no query term.
+        source = tmp_path / "corpus.jsonl"
+        source.write_text("".join(
+            json.dumps({"id": f"d{i}",
+                        "text": "alpha " * (i % 7) + "beta " * (i % 3) + "pad " * (i % 11 + 1)})
+            + "\n" for i in range(80)))
+        if case == "analyze_series":
+            source = write_series(tmp_path / "series.csv", white_noise(512, 2))
+        elif case == "analyze_scores":
+            run_ok(runner, ["score", "--corpus", str(source), "--query", "alpha beta",
+                            "--out", str(tmp_path / "s")])
+            source = tmp_path / "s" / "scores.csv"
+        config = {key: str(source) if value == "INPUT" else value
+                  for key, value in config.items()}
+        text = json.dumps({"command": command, "config": config},
+                          sort_keys=True, indent=2) + "\n"
+        (tmp_path / "manifest.json").write_text(text)
+        run_ok(runner, ["rerun", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "b")])
+        run_ok(runner, [command] + [str(source) if a == "INPUT" else a for a in args]
+               + ["--out", str(tmp_path / "a")])
+        assert (tmp_path / "b" / "manifest.json").read_text() == text
+        assert read_dir(tmp_path / "b") == read_dir(tmp_path / "a")
 
     @pytest.mark.parametrize("case", ["missing_input", "not_json", "wrong_type",
                                       "unknown_kind", "short_length", "no_input",

@@ -50,7 +50,10 @@ class TestZipfFit:
             zipf_fit([2.0, 1.0, 0.5], trim_fraction=0.0)
 
     @pytest.mark.parametrize("values, trim", [(np.full(5, 0.9), 0.0),
-                                              (np.r_[[2.0] * 5, [0.9] * 90, [0.1] * 5], 0.05)])
+                                              (np.r_[[2.0] * 5, [0.9] * 90, [0.1] * 5], 0.05),
+                                              # A spread of one ulp is rounding noise.
+                                              (np.r_[[np.nextafter(0.9, 1)] * 50,
+                                                     [0.9] * 50], 0.05)])
     def test_no_spread_rejected(self, values, trim):
         with pytest.raises(RankStatsError, match="no spread in the trimmed window"):
             zipf_fit(values, trim_fraction=trim)
