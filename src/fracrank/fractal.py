@@ -109,15 +109,6 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _segment_residuals(prof: np.ndarray, n: int) -> np.ndarray:
-    """Residuals of per-segment linear detrending, one row per retained segment."""
-    nseg = prof.size // n
-    seg = prof[: nseg * n].reshape(nseg, n)
-    k = np.arange(1, n + 1, dtype=float)
-    a, b = _line_fit(k, seg)
-    return seg - (a[:, None] * k + b[:, None])
-
-
 @_overflow_checked
 def dfa(series, windows=None) -> FluctuationCurve:
     """Detrended fluctuation analysis with linear detrending.
@@ -140,24 +131,34 @@ def dfa(series, windows=None) -> FluctuationCurve:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 distinct windows")
     prof = _profile(x)
     d = np.empty(windows.size)
+    scratch = np.empty(prof.size)
     for i, n in enumerate(windows):
-        resid = _segment_residuals(prof, int(n))
-        d[i] = np.sqrt(np.mean(resid**2))
+        n = int(n)
+        nseg = prof.size // n
+        seg = prof[: nseg * n].reshape(nseg, n)
+        k = np.arange(1, n + 1, dtype=float)
+        a, b = _line_fit(k, seg)
+        # Squared residuals seg - (a*k + b), formed in one buffer for all windows.
+        sq = np.multiply(a[:, None], k, out=scratch[: seg.size].reshape(seg.shape))
+        np.add(sq, b[:, None], out=sq)
+        np.subtract(seg, sq, out=sq)
+        np.square(sq, out=sq)
+        d[i] = np.sqrt(sq.sum() / sq.size)
     if np.any(d == 0.0):
         raise DegenerateSeriesError("zero fluctuation at some window; log fit undefined")
     alpha, _, r2 = _ols(np.log10(windows.astype(float)), np.log10(d))
     return FluctuationCurve(windows=windows, d=d, alpha=alpha, alpha_r2=r2)
 
 
-def _rescaled_ranges(blocks: np.ndarray) -> np.ndarray:
+def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """R/S of every row of a 2-D block array, leaving out rows with S == 0.
 
-    The row-mean deviations are formed once and feed both S (population form)
-    and the running sums whose range is R.
+    The row-mean deviations, written into ``out`` if given, feed both S
+    (population form) and the running sums whose range is R, formed in place.
     """
-    dev = blocks - blocks.mean(axis=1, keepdims=True)
-    s = np.sqrt(np.mean(dev * dev, axis=1))
-    cum = np.cumsum(dev, axis=1)
+    dev = np.subtract(blocks, blocks.mean(axis=1, keepdims=True), out=out)
+    s = np.sqrt((dev * dev).sum(axis=1) / dev.shape[1])
+    cum = np.cumsum(dev, axis=1, out=dev)
     r = cum.max(axis=1) - cum.min(axis=1)
     usable = s != 0.0
     return r[usable] / s[usable]
@@ -217,13 +218,15 @@ def hurst_regression(series, windows=None) -> HurstResult:
         raise ValueError("R/S windows must satisfy 2 <= w <= N")
     used_w: list[int] = []
     means: list[float] = []
+    scratch = np.empty(x.size)
     for w in windows:
         w = int(w)
         nblk = x.size // w
-        vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w))
+        vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w),
+                                scratch[: nblk * w].reshape(nblk, w))
         if vals.size:
             used_w.append(w)
-            means.append(float(np.mean(vals)))
+            means.append(float(vals.sum() / vals.size))
     if len(used_w) < 4:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 usable windows")
     w_arr = np.asarray(used_w, dtype=float)

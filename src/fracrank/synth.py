@@ -8,11 +8,13 @@ autocovariance
 
     gamma(k) = 0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
-in O(N log N) via the FFT.
+in O(N log N) via the FFT. ``fgn`` keeps the spectra of its last 8 (length, H)
+pairs, 8 * length bytes each; the series bits do not depend on this cache.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -40,6 +42,25 @@ def fgn_autocovariance(h: float, lags) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _sqrt_spectrum(n: int, target_h: float) -> tuple[np.float64, np.float64, np.ndarray]:
+    """sqrt of eig[0], eig[n] and eig[1:n] / 2 of the 2n circulant embedding.
+
+    These depend only on (n, H), so they are computed once per pair; the array
+    is read-only because every later call shares it.
+    """
+    gamma = fgn_autocovariance(target_h, np.arange(n + 1))
+    # First row of the circulant embedding: gamma(0..n) then gamma(n-1..1).
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    eig = np.fft.fft(row).real
+    if eig.min() < -1e-8:
+        raise SynthError("circulant embedding produced a negative eigenvalue")
+    eig = np.clip(eig, 0.0, None)
+    half = np.sqrt(eig[1:n] / 2.0)
+    half.flags.writeable = False
+    return np.sqrt(eig[0]), np.sqrt(eig[n]), half
+
+
 def fgn(length: int, target_h: float, seed: int) -> np.ndarray:
     """Fractional Gaussian noise by circulant embedding of the exact autocovariance.
 
@@ -53,20 +74,13 @@ def fgn(length: int, target_h: float, seed: int) -> np.ndarray:
         raise SynthError("length must be a power of two >= 64")
     n = length
     m = 2 * n
-    gamma = fgn_autocovariance(target_h, np.arange(n + 1))
-    # First row of the circulant embedding: gamma(0..n) then gamma(n-1..1).
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eig = np.fft.fft(row).real
-    if eig.min() < -1e-8:
-        raise SynthError("circulant embedding produced a negative eigenvalue")
-    eig = np.clip(eig, 0.0, None)
+    root0, root_n, half = _sqrt_spectrum(n, float(target_h))
     rng = np.random.default_rng(seed)
     re = rng.standard_normal(n + 1)
     im = rng.standard_normal(n - 1)
     w = np.zeros(m, dtype=complex)
-    w[0] = np.sqrt(eig[0]) * re[0]
-    w[n] = np.sqrt(eig[n]) * re[n]
-    half = np.sqrt(eig[1:n] / 2.0)
+    w[0] = root0 * re[0]
+    w[n] = root_n * re[n]
     w[1:n] = half * (re[1:n] + 1j * im)
     w[n + 1 :] = np.conj(w[1:n][::-1])
     x = np.fft.fft(w) / np.sqrt(m)

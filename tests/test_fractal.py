@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as npst
 
 from fracrank.fractal import (
     DegenerateSeriesError,
+    _geometric_grid,
     _line_fit,
     _ols,
     _profile,
@@ -42,6 +43,50 @@ def naive_dfa_d(series, window):
         resid = seg - np.polyval(coeffs, k)
         sq.extend(resid**2)
     return math.sqrt(np.mean(sq))
+
+
+def per_window_dfa(series, windows):
+    """Reference D(n) and alpha: fresh arrays per window and np.mean; dfa matches its bits."""
+    prof = _profile(series)
+    d = np.empty(len(windows))
+    for i, n in enumerate(windows):
+        nseg = prof.size // n
+        seg = prof[: nseg * n].reshape(nseg, n)
+        k = np.arange(1, n + 1, dtype=float)
+        a, b = _line_fit(k, seg)
+        resid = seg - (a[:, None] * k + b[:, None])
+        d[i] = np.sqrt(np.mean(resid**2))
+    return d, _ols(np.log10(np.asarray(windows, dtype=float)), np.log10(d))[0]
+
+
+def per_window_rs(series, windows):
+    """Reference R/S curve and H: fresh arrays per window and np.mean; matched bit for bit."""
+    x = np.asarray(series, dtype=float)
+    used, means = [], []
+    for w in windows:
+        blocks = x[: x.size // w * w].reshape(-1, w)
+        dev = blocks - blocks.mean(axis=1, keepdims=True)
+        s = np.sqrt(np.mean(dev * dev, axis=1))
+        cum = np.cumsum(dev, axis=1)
+        r = cum.max(axis=1) - cum.min(axis=1)
+        vals = r[s != 0.0] / s[s != 0.0]
+        if vals.size:
+            used.append(w)
+            means.append(float(np.mean(vals)))
+    used, means = np.asarray(used, dtype=float), np.asarray(means)
+    return used, means, _ols(np.log10(used), np.log10(means))[0]
+
+
+def bit_pin_series(name, n):
+    """fGn at H 0.5/0.75/0.95 (cut to length), white noise, or one with constant stretches."""
+    if name == "stretches":
+        x = white_noise(n, 3)
+        x[: n // 8] = 1.0
+        x[n // 2 : n // 2 + n // 16] = -2.0
+        return x
+    if name == "white":
+        return white_noise(n, 1)
+    return fgn(1 << (n - 1).bit_length(), name, 2)[:n]
 
 
 def polyfit_ols(x, y):
@@ -283,6 +328,28 @@ for seed in range(3):
     data = curve.d.tobytes() + curve.windows.tobytes() + float(curve.alpha).hex().encode()
     print(seed, hashlib.sha256(data).hexdigest())
 """
+
+
+@pytest.mark.parametrize("n", [1000, 8192, 2**16])
+@pytest.mark.parametrize("name", [0.5, 0.75, 0.95, "white", "stretches"])
+def test_estimator_bits_match_per_window_formulas(name, n):
+    x = bit_pin_series(name, n)
+    curve = dfa(x)
+    d, alpha = per_window_dfa(x, [int(w) for w in curve.windows])
+    np.testing.assert_array_equal(curve.d, d)
+    assert curve.alpha == alpha
+    res = hurst_regression(x)
+    used, means, h = per_window_rs(x, [int(w) for w in _geometric_grid(16, n // 4)])
+    np.testing.assert_array_equal(res.rs_windows, used)
+    np.testing.assert_array_equal(res.rs_means, means)
+    assert res.h_regression == h
+
+
+def test_stretches_have_degenerate_rs_blocks():
+    """The constant stretches of the bit-pin series leave some R/S blocks with S == 0."""
+    for n in (1000, 8192, 2**16):
+        blocks = bit_pin_series("stretches", n)[: n // 16 * 16].reshape(-1, 16)
+        assert np.any(np.ptp(blocks, axis=1) == 0.0)
 
 
 def test_dfa_bits_independent_of_blas_threads():

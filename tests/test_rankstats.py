@@ -123,6 +123,9 @@ class TestEmpiricalCdfMap:
         mapped = empirical_cdf_map(x)
         np.testing.assert_allclose(mapped, [1.0, 1 / 3, 2 / 3])
 
+    def test_ties_break_by_position(self):
+        np.testing.assert_array_equal(empirical_cdf_map([2, 1, 2, 1]), [0.75, 0.25, 1.0, 0.5])
+
     @given(npst.arrays(np.float64, st.integers(min_value=1, max_value=200),
                        elements=st.floats(min_value=-1e6, max_value=1e6)))
     def test_always_in_unit_interval(self, x):

@@ -4,6 +4,7 @@ import pytest
 from fracrank.fractal import _line_fit
 from fracrank.synth import (
     SynthError,
+    _sqrt_spectrum,
     fgn,
     fgn_autocovariance,
     linear_trend,
@@ -18,6 +19,33 @@ from fracrank.table import TableError, write_atomic
 def sample_autocov(x, lag):
     xc = x - x.mean()
     return float(np.mean(xc[: x.size - lag] * xc[lag:])) if lag else float(np.mean(xc**2))
+
+
+def reference_fgn(length, target_h, seed):
+    """Reference fgn that computes its spectrum on every call; fgn matches its bits."""
+    n = length
+    m = 2 * n
+    gamma = fgn_autocovariance(target_h, np.arange(n + 1))
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    eig = np.fft.fft(row).real
+    assert eig.min() >= -1e-8
+    eig = np.clip(eig, 0.0, None)
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal(n + 1)
+    im = rng.standard_normal(n - 1)
+    w = np.zeros(m, dtype=complex)
+    w[0] = np.sqrt(eig[0]) * re[0]
+    w[n] = np.sqrt(eig[n]) * re[n]
+    half = np.sqrt(eig[1:n] / 2.0)
+    w[1:n] = half * (re[1:n] + 1j * im)
+    w[n + 1 :] = np.conj(w[1:n][::-1])
+    x = np.fft.fft(w) / np.sqrt(m)
+    return x.real[:n]
+
+
+# Twelve (length, H) pairs, more than the spectrum cache holds, with H
+# changing on every call so that consecutive calls never share a spectrum.
+FGN_PAIRS = [(n, h) for n in (64, 8192, 2**16) for h in (0.3, 0.5, 0.75, 0.95)]
 
 
 class TestWhiteNoise:
@@ -46,6 +74,37 @@ class TestFgn:
 
     def test_deterministic(self):
         np.testing.assert_array_equal(fgn(64, 0.7, 9), fgn(64, 0.7, 9))
+
+    def test_cold_cache_matches_uncached_reference(self):
+        for seed in (0, 1, 17):
+            _sqrt_spectrum.cache_clear()
+            for n, h in FGN_PAIRS:
+                np.testing.assert_array_equal(fgn(n, h, seed), reference_fgn(n, h, seed))
+
+    def test_warm_cache_matches_uncached_reference(self):
+        _sqrt_spectrum.cache_clear()
+        fgn(8192, 0.75, 0)
+        for seed in (1, 2, 3):
+            hits = _sqrt_spectrum.cache_info().hits
+            np.testing.assert_array_equal(fgn(8192, 0.75, seed), reference_fgn(8192, 0.75, seed))
+            assert _sqrt_spectrum.cache_info().hits == hits + 1
+
+    def test_evicted_spectrum_matches_uncached_reference(self):
+        _sqrt_spectrum.cache_clear()
+        fgn(64, 0.3, 0)
+        for n, h in FGN_PAIRS[1:]:  # eleven other pairs push (64, 0.3) out
+            fgn(n, h, 0)
+        misses = _sqrt_spectrum.cache_info().misses
+        np.testing.assert_array_equal(fgn(64, 0.3, 5), reference_fgn(64, 0.3, 5))
+        assert _sqrt_spectrum.cache_info().misses == misses + 1
+
+    def test_writing_a_series_leaves_the_next_call_alone(self):
+        x = fgn(8192, 0.95, 4)
+        x[:] = 0.0
+        np.testing.assert_array_equal(fgn(8192, 0.95, 4), reference_fgn(8192, 0.95, 4))
+        half = _sqrt_spectrum(8192, 0.95)[2]
+        with pytest.raises(ValueError, match="read-only"):
+            half[0] = 0.0
 
     def test_bad_h(self):
         with pytest.raises(SynthError):
