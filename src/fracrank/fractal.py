@@ -16,6 +16,11 @@ the one-row case. The associated fractal dimension of a self-affine record is
 
 Finite values so large that their squares or sums overflow raise
 DegenerateSeriesError instead of turning into inf or NaN.
+
+Size-only terms are computed once and shared read-only, with unchanged bits:
+the default window grids (last 16 (lo, hi) pairs) and DFA's regressor k = 1..n
+with its centered form (last 32 window lengths, 16 * n bytes each; about 9 MB
+for the default DFA grid at N = 2^20).
 """
 
 from __future__ import annotations
@@ -82,26 +87,41 @@ def _profile(series) -> np.ndarray:
     return np.cumsum(x - x.mean())
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _line_fit(xc: np.ndarray, xc_ss: float, x_mean: float,
+              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares line slope * x + intercept through y, fit along y's last axis.
 
-    Closed form on centered x. einsum forms each row's dot product on its own,
-    so a row's bits depend neither on the other rows nor on BLAS threads.
+    Closed form on centered x (xc = x - x_mean, xc_ss = sum of xc^2). einsum forms
+    each row's dot on its own, so its bits depend on neither other rows nor BLAS threads.
     """
-    xc = x - x.mean()
-    slope = np.einsum("...i,i->...", y, xc) / (xc * xc).sum()
-    intercept = y.mean(axis=-1) - slope * x.mean()
+    slope = np.einsum("...i,i->...", y, xc) / xc_ss
+    intercept = np.add.reduce(y, axis=-1) / y.shape[-1] - slope * x_mean
     return slope, intercept
 
 
+@functools.lru_cache(maxsize=16)
 def _geometric_grid(lo: int, hi: int) -> np.ndarray:
-    """~20 integers geometrically spaced in [lo, hi], deduplicated."""
-    return np.unique(np.round(np.geomspace(lo, hi, 20)).astype(int))
+    """~20 integers geometrically spaced in [lo, hi], deduplicated; read-only, shared."""
+    grid = np.unique(np.round(np.geomspace(lo, hi, 20)).astype(int))
+    grid.flags.writeable = False
+    return grid
+
+
+@functools.lru_cache(maxsize=32)
+def _window_basis(n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """DFA's regressor k = 1..n, centered k, its sum of squares and mean; read-only."""
+    k = np.arange(1, n + 1, dtype=float)
+    k_mean = k.mean()
+    kc = k - k_mean
+    k.flags.writeable = kc.flags.writeable = False
+    return k, kc, (kc * kc).sum(), k_mean
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """OLS slope, intercept and R^2 of y against x."""
-    slope, intercept = _line_fit(x, y)
+    x_mean = x.mean()
+    xc = x - x_mean
+    slope, intercept = _line_fit(xc, (xc * xc).sum(), x_mean, y)
     pred = slope * x + intercept
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -136,8 +156,8 @@ def dfa(series, windows=None) -> FluctuationCurve:
         n = int(n)
         nseg = prof.size // n
         seg = prof[: nseg * n].reshape(nseg, n)
-        k = np.arange(1, n + 1, dtype=float)
-        a, b = _line_fit(k, seg)
+        k, kc, kc_ss, k_mean = _window_basis(n)
+        a, b = _line_fit(kc, kc_ss, k_mean, seg)
         # Squared residuals seg - (a*k + b), formed in one buffer for all windows.
         sq = np.multiply(a[:, None], k, out=scratch[: seg.size].reshape(seg.shape))
         np.add(sq, b[:, None], out=sq)
@@ -156,8 +176,9 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None) -> np.nd
     The row-mean deviations, written into ``out`` if given, feed both S
     (population form) and the running sums whose range is R, formed in place.
     """
-    dev = np.subtract(blocks, blocks.mean(axis=1, keepdims=True), out=out)
-    s = np.sqrt((dev * dev).sum(axis=1) / dev.shape[1])
+    w = blocks.shape[1]
+    dev = np.subtract(blocks, np.add.reduce(blocks, axis=1, keepdims=True) / w, out=out)
+    s = np.sqrt(np.add.reduce(dev * dev, axis=1) / w)
     cum = np.cumsum(dev, axis=1, out=dev)
     r = cum.max(axis=1) - cum.min(axis=1)
     usable = s != 0.0

@@ -8,8 +8,9 @@ autocovariance
 
     gamma(k) = 0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
-in O(N log N) via the FFT. ``fgn`` keeps the spectra of its last 8 (length, H)
-pairs, 8 * length bytes each; the series bits do not depend on this cache.
+in O(N log N) via the FFT. ``fgn`` returns an array of its own holding just the
+N values, and keeps the spectra of its last 8 (length, H) pairs, 8 * length
+bytes each; the series bits do not depend on this cache.
 """
 
 from __future__ import annotations
@@ -81,10 +82,13 @@ def fgn(length: int, target_h: float, seed: int) -> np.ndarray:
     w = np.zeros(m, dtype=complex)
     w[0] = root0 * re[0]
     w[n] = root_n * re[n]
-    w[1:n] = half * (re[1:n] + 1j * im)
-    w[n + 1 :] = np.conj(w[1:n][::-1])
-    x = np.fft.fft(w) / np.sqrt(m)
-    return x.real[:n]
+    np.multiply(half, re[1:n], out=w.real[1:n])
+    np.multiply(half, im, out=w.imag[1:n])
+    w.real[n + 1 :] = w.real[n - 1 : 0 : -1]
+    np.negative(w.imag[n - 1 : 0 : -1], out=w.imag[n + 1 :])
+    x = np.fft.fft(w)[:n]
+    x /= np.sqrt(m)
+    return x.real.copy()
 
 
 def linear_trend(length: int, slope: float, intercept: float) -> np.ndarray:

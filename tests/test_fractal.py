@@ -16,6 +16,7 @@ from fracrank.fractal import (
     _line_fit,
     _ols,
     _profile,
+    _window_basis,
     dfa,
     hurst_pointwise,
     hurst_regression,
@@ -53,7 +54,8 @@ def per_window_dfa(series, windows):
         nseg = prof.size // n
         seg = prof[: nseg * n].reshape(nseg, n)
         k = np.arange(1, n + 1, dtype=float)
-        a, b = _line_fit(k, seg)
+        kc = k - k.mean()
+        a, b = _line_fit(kc, (kc * kc).sum(), k.mean(), seg)
         resid = seg - (a[:, None] * k + b[:, None])
         d[i] = np.sqrt(np.mean(resid**2))
     return d, _ols(np.log10(np.asarray(windows, dtype=float)), np.log10(d))[0]
@@ -173,28 +175,34 @@ class TestProfile:
         assert abs(y[-1]) <= x.size * 1e-9 * scale
 
 
+def local_trend(y):
+    """DFA's line fit of y's rows against k = 1..n, with the cached regressor terms."""
+    _, kc, kc_ss, k_mean = _window_basis(y.shape[-1])
+    return _line_fit(kc, kc_ss, k_mean, y)
+
+
 class TestLocalTrend:
     """The DFA local trend of one segment: one-row cases of ``_line_fit``."""
 
     def test_exact_line(self):
-        a, b = _line_fit(np.arange(1.0, 4.0), np.array([[3.0, 5.0, 7.0]]))
+        a, b = local_trend(np.array([[3.0, 5.0, 7.0]]))
         assert a[0] == pytest.approx(2.0)
         assert b[0] == pytest.approx(1.0)
 
     def test_constant(self):
-        a, b = _line_fit(np.arange(1.0, 6.0), np.full((1, 5), 4.0))
+        a, b = local_trend(np.full((1, 5), 4.0))
         assert a[0] == pytest.approx(0.0)
         assert b[0] == pytest.approx(4.0)
 
     def test_hand_ols(self):
-        a, b = _line_fit(np.arange(1.0, 4.0), np.array([[0.0, 1.0, 0.0]]))
+        a, b = local_trend(np.array([[0.0, 1.0, 0.0]]))
         assert a[0] == pytest.approx(0.0)
         assert b[0] == pytest.approx(1 / 3)
 
     @given(finite_series)
     def test_residuals_orthogonal_to_regressors(self, y):
         k = np.arange(1, y.size + 1, dtype=float)
-        a, b = _line_fit(k, y[None, :])
+        a, b = local_trend(y[None, :])
         resid = y - (a[0] * k + b[0])
         scale = max(1.0, np.abs(y).max()) * y.size**2
         assert abs(resid.sum()) <= 1e-8 * scale
@@ -206,14 +214,13 @@ class TestLocalTrend:
     def test_split_rows_fit_bit_identical(self, rows, data):
         # A row's fit must not depend on the rows fit with it, or DFA's bits
         # would depend on how a library splits the rows (e.g. across threads).
-        k = np.arange(1, rows.shape[1] + 1, dtype=float)
         cuts = sorted(data.draw(st.lists(st.integers(0, rows.shape[0]), max_size=5)))
-        stacked = _line_fit(k, rows)
-        parts = [_line_fit(k, part) for part in np.split(rows, cuts)]
+        stacked = local_trend(rows)
+        parts = [local_trend(part) for part in np.split(rows, cuts)]
         for whole, pieces in zip(stacked, zip(*parts)):
             np.testing.assert_array_equal(whole, np.concatenate(pieces))
         row = data.draw(st.integers(0, rows.shape[0] - 1))
-        alone = _line_fit(k, rows[row])
+        alone = local_trend(rows[row])
         assert (alone[0], alone[1]) == (stacked[0][row], stacked[1][row])
 
 
@@ -330,19 +337,24 @@ for seed in range(3):
 """
 
 
-@pytest.mark.parametrize("n", [1000, 8192, 2**16])
-@pytest.mark.parametrize("name", [0.5, 0.75, 0.95, "white", "stretches"])
-def test_estimator_bits_match_per_window_formulas(name, n):
-    x = bit_pin_series(name, n)
+def assert_bits_match_per_window_formulas(x):
+    """dfa and hurst_regression on their default grids equal the references exactly."""
     curve = dfa(x)
     d, alpha = per_window_dfa(x, [int(w) for w in curve.windows])
     np.testing.assert_array_equal(curve.d, d)
     assert curve.alpha == alpha
     res = hurst_regression(x)
-    used, means, h = per_window_rs(x, [int(w) for w in _geometric_grid(16, n // 4)])
+    used, means, h = per_window_rs(x, [int(w) for w in _geometric_grid(16, x.size // 4)])
     np.testing.assert_array_equal(res.rs_windows, used)
     np.testing.assert_array_equal(res.rs_means, means)
     assert res.h_regression == h
+    return curve
+
+
+@pytest.mark.parametrize("n", [1000, 8192, 2**16])
+@pytest.mark.parametrize("name", [0.5, 0.75, 0.95, "white", "stretches"])
+def test_estimator_bits_match_per_window_formulas(name, n):
+    assert_bits_match_per_window_formulas(bit_pin_series(name, n))
 
 
 def test_stretches_have_degenerate_rs_blocks():
@@ -350,6 +362,47 @@ def test_stretches_have_degenerate_rs_blocks():
     for n in (1000, 8192, 2**16):
         blocks = bit_pin_series("stretches", n)[: n // 16 * 16].reshape(-1, 16)
         assert np.any(np.ptp(blocks, axis=1) == 0.0)
+
+
+def test_cached_grids_and_bases_are_read_only():
+    grid = _geometric_grid(4, 2048)
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0
+    for arr in _window_basis(16)[:2]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    curve = dfa(white_noise(8192, 0))
+    curve.windows[0] = 0  # dfa hands out its own copy of the grid
+    assert _geometric_grid(4, 2048)[0] == 4
+
+
+class TestEstimatorCaches:
+    """dfa and hurst_regression keep their bits whatever the grid and basis caches hold."""
+
+    def assert_pinned(self):
+        return assert_bits_match_per_window_formulas(bit_pin_series(0.75, 8192))
+
+    def test_cold_cache(self):
+        _geometric_grid.cache_clear()
+        _window_basis.cache_clear()
+        curve = self.assert_pinned()
+        assert _window_basis.cache_info().misses == curve.windows.size
+
+    def test_warm_cache(self):
+        curve = self.assert_pinned()
+        hits = _window_basis.cache_info().hits
+        self.assert_pinned()
+        assert _window_basis.cache_info().hits == hits + curve.windows.size
+
+    def test_evicted_cache(self):
+        grid = self.assert_pinned().windows
+        other = [n for n in range(1024, 2048) if n not in grid]
+        dfa(bit_pin_series(0.75, 8192), windows=other[: _window_basis.cache_info().maxsize])
+        for hi in range(100, 101 + _geometric_grid.cache_info().maxsize):
+            _geometric_grid(4, hi)
+        misses = _window_basis.cache_info().misses
+        curve = self.assert_pinned()
+        assert _window_basis.cache_info().misses == misses + curve.windows.size
 
 
 def test_dfa_bits_independent_of_blas_threads():

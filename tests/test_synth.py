@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracrank.fractal import _line_fit
+from fracrank.fractal import _line_fit, _window_basis
 from fracrank.synth import (
     SynthError,
     _sqrt_spectrum,
@@ -43,6 +43,12 @@ def reference_fgn(length, target_h, seed):
     return x.real[:n]
 
 
+def assert_same_bits(got, want):
+    """Equal values and equal signs, so that -0.0 and +0.0 count as different."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 # Twelve (length, H) pairs, more than the spectrum cache holds, with H
 # changing on every call so that consecutive calls never share a spectrum.
 FGN_PAIRS = [(n, h) for n in (64, 8192, 2**16) for h in (0.3, 0.5, 0.75, 0.95)]
@@ -79,14 +85,14 @@ class TestFgn:
         for seed in (0, 1, 17):
             _sqrt_spectrum.cache_clear()
             for n, h in FGN_PAIRS:
-                np.testing.assert_array_equal(fgn(n, h, seed), reference_fgn(n, h, seed))
+                assert_same_bits(fgn(n, h, seed), reference_fgn(n, h, seed))
 
     def test_warm_cache_matches_uncached_reference(self):
         _sqrt_spectrum.cache_clear()
         fgn(8192, 0.75, 0)
         for seed in (1, 2, 3):
             hits = _sqrt_spectrum.cache_info().hits
-            np.testing.assert_array_equal(fgn(8192, 0.75, seed), reference_fgn(8192, 0.75, seed))
+            assert_same_bits(fgn(8192, 0.75, seed), reference_fgn(8192, 0.75, seed))
             assert _sqrt_spectrum.cache_info().hits == hits + 1
 
     def test_evicted_spectrum_matches_uncached_reference(self):
@@ -95,16 +101,25 @@ class TestFgn:
         for n, h in FGN_PAIRS[1:]:  # eleven other pairs push (64, 0.3) out
             fgn(n, h, 0)
         misses = _sqrt_spectrum.cache_info().misses
-        np.testing.assert_array_equal(fgn(64, 0.3, 5), reference_fgn(64, 0.3, 5))
+        assert_same_bits(fgn(64, 0.3, 5), reference_fgn(64, 0.3, 5))
         assert _sqrt_spectrum.cache_info().misses == misses + 1
 
     def test_writing_a_series_leaves_the_next_call_alone(self):
         x = fgn(8192, 0.95, 4)
         x[:] = 0.0
-        np.testing.assert_array_equal(fgn(8192, 0.95, 4), reference_fgn(8192, 0.95, 4))
+        assert_same_bits(fgn(8192, 0.95, 4), reference_fgn(8192, 0.95, 4))
         half = _sqrt_spectrum(8192, 0.95)[2]
         with pytest.raises(ValueError, match="read-only"):
             half[0] = 0.0
+
+    def test_long_series_matches_uncached_reference(self):
+        assert_same_bits(fgn(2**20, 0.75, 6), reference_fgn(2**20, 0.75, 6))
+
+    @pytest.mark.parametrize("n", [64, 2**16])
+    def test_series_owns_its_values(self, n):
+        x = fgn(n, 0.75, 0)
+        assert x.base is None
+        assert x.nbytes == 8 * n
 
     def test_bad_h(self):
         with pytest.raises(SynthError):
@@ -138,7 +153,8 @@ class TestLinearTrend:
         assert np.ptp(linear_trend(10, 0, 4.5)) == 0
 
     def test_local_trend_recovers_coefficients(self):
-        a, b = _line_fit(np.arange(1.0, 51.0), linear_trend(50, -0.25, 3.0)[None, :])
+        _, kc, kc_ss, k_mean = _window_basis(50)
+        a, b = _line_fit(kc, kc_ss, k_mean, linear_trend(50, -0.25, 3.0)[None, :])
         assert a[0] == pytest.approx(-0.25, abs=1e-12)
         assert b[0] == pytest.approx(3.0, abs=1e-10)
 
