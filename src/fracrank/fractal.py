@@ -14,8 +14,11 @@ non-overlapping blocks and R/S is computed row-wise in one pass; a prefix is
 the one-row case. The associated fractal dimension of a self-affine record is
 2 - H.
 
-Finite values so large that their squares or sums overflow raise
-DegenerateSeriesError instead of turning into inf or NaN.
+The estimators are scale-free: each first divides its input by 2**e, e the
+binary exponent of max|x|. That is exact, so the input's magnitude makes no
+square or sum overflow or underflow. R/S is a ratio and needs no undo; DFA
+multiplies D(n) back by 2**e and raises DegenerateSeriesError if that is not a
+normal float.
 
 Size-only terms are computed once and shared read-only, with unchanged bits:
 the default window grids (last 16 (lo, hi) pairs) and DFA's regressor k = 1..n
@@ -63,20 +66,11 @@ class HurstResult:
     h_r2: float
 
 
-def _overflow_checked(estimator):
-    """Run ``estimator`` with float overflow raised, reported as DegenerateSeriesError."""
-
-    @functools.wraps(estimator)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise"):
-                return estimator(*args, **kwargs)
-        except FloatingPointError as exc:
-            raise DegenerateSeriesError(
-                f"values too large: floating-point overflow ({exc})"
-            ) from exc
-
-    return checked
+def _unit_scaled(series) -> tuple[np.ndarray, int]:
+    """(x / 2**e, e) for e the frexp exponent of max|x|; exact above ~1e-308 * max|x|."""
+    x = np.asarray(series, dtype=float)
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    return np.ldexp(x, -e), e
 
 
 def _profile(series) -> np.ndarray:
@@ -129,7 +123,6 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-@_overflow_checked
 def dfa(series, windows=None) -> FluctuationCurve:
     """Detrended fluctuation analysis with linear detrending.
 
@@ -137,7 +130,7 @@ def dfa(series, windows=None) -> FluctuationCurve:
     residuals; alpha is the OLS slope of log10 D vs log10 n over at least 4
     distinct windows.
     """
-    x = np.asarray(series, dtype=float)
+    x, e = _unit_scaled(series)
     if x.size < 16:
         raise ValueError("dfa needs at least 16 points")
     if np.ptp(x) == 0.0:
@@ -166,15 +159,24 @@ def dfa(series, windows=None) -> FluctuationCurve:
         d[i] = np.sqrt(sq.sum() / sq.size)
     if np.any(d == 0.0):
         raise DegenerateSeriesError("zero fluctuation at some window; log fit undefined")
+    # D(n) * 2**e must be a normal float, or alpha would lose digits silently.
+    low, high = np.frexp([d.min(), d.max()])[1] + e
+    if not -1021 <= low <= high <= 1024:
+        raise DegenerateSeriesError(f"values too {'large' if high > 1024 else 'small'}: "
+                                    "D(n) outside the float range")
+    d = np.ldexp(d, e)
     alpha, _, r2 = _ols(np.log10(windows.astype(float)), np.log10(d))
     return FluctuationCurve(windows=windows, d=d, alpha=alpha, alpha_r2=r2)
 
 
-def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """R/S of every row of a 2-D block array, leaving out rows with S == 0.
+def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
+                     ties: bool = True) -> np.ndarray:
+    """R/S of every row of a 2-D block array, leaving out constant rows and rows with S == 0.
 
     The row-mean deviations, written into ``out`` if given, feed both S
     (population form) and the running sums whose range is R, formed in place.
+    A constant row's float mean can round (tiny S, R/S = w - 1); ``ties=False``
+    skips that constancy test, for a series with no two equal neighbours.
     """
     w = blocks.shape[1]
     dev = np.subtract(blocks, np.add.reduce(blocks, axis=1, keepdims=True) / w, out=out)
@@ -182,35 +184,36 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None) -> np.nd
     cum = np.cumsum(dev, axis=1, out=dev)
     r = cum.max(axis=1) - cum.min(axis=1)
     usable = s != 0.0
+    if ties:
+        usable &= blocks.max(axis=1) != blocks.min(axis=1)
     return r[usable] / s[usable]
 
 
-@_overflow_checked
 def rs_statistic(series) -> float:
     """Rescaled range R/S with population standard deviation S."""
-    x = np.asarray(series, dtype=float)
+    x, _ = _unit_scaled(series)
     if x.size < 2:
         raise ValueError("rs_statistic needs at least 2 points")
     rs = _rescaled_ranges(x[None, :])
     if rs.size == 0:
-        raise DegenerateSeriesError("degenerate series: zero standard deviation")
+        raise DegenerateSeriesError("degenerate series: constant or zero standard deviation")
     return float(rs[0])
 
 
-@_overflow_checked
 def hurst_pointwise(series) -> tuple[np.ndarray, list[int]]:
     """H(N) = ln(R/S of prefix) / ln(N/2) over a geometric grid of prefix lengths.
 
     Returns (points, skipped): points is an (n, 2) array of (N, H(N)) rows, and
-    skipped lists the prefix lengths whose standard deviation was zero.
+    skipped lists the prefix lengths that were constant or had zero standard deviation.
     """
-    x = np.asarray(series, dtype=float)
+    x, _ = _unit_scaled(series)
     if x.size < 16:
         raise ValueError("hurst_pointwise needs at least 16 points")
+    ties = bool(np.any(x[1:] == x[:-1]))
     points: list[tuple[int, float]] = []
     skipped: list[int] = []
     for n in _geometric_grid(16, x.size):
-        rs = _rescaled_ranges(x[None, :n])
+        rs = _rescaled_ranges(x[None, :n], ties=ties)
         if rs.size:
             points.append((n, np.log(rs[0]) / np.log(n / 2.0)))
         else:
@@ -218,16 +221,15 @@ def hurst_pointwise(series) -> tuple[np.ndarray, list[int]]:
     return np.array(points, dtype=float).reshape(-1, 2), skipped
 
 
-@_overflow_checked
 def hurst_regression(series, windows=None) -> HurstResult:
     """Multi-window R/S regression estimate of the Hurst index.
 
     For each block size w the R/S statistic is averaged over the floor(N/w)
-    non-overlapping blocks, leaving out blocks with S == 0; a window with no
-    usable block is dropped. H is the OLS slope of log(mean R/S) vs log(w),
-    and h_r2 the R^2 of that fit.
+    non-overlapping blocks, leaving out constant blocks and blocks with S == 0;
+    a window with no usable block is dropped. H is the OLS slope of
+    log(mean R/S) vs log(w), and h_r2 the R^2 of that fit.
     """
-    x = np.asarray(series, dtype=float)
+    x, _ = _unit_scaled(series)
     if x.size < 64:
         raise ValueError("hurst_regression needs at least 64 points")
     if windows is None:
@@ -240,11 +242,12 @@ def hurst_regression(series, windows=None) -> HurstResult:
     used_w: list[int] = []
     means: list[float] = []
     scratch = np.empty(x.size)
+    ties = bool(np.any(x[1:] == x[:-1]))
     for w in windows:
         w = int(w)
         nblk = x.size // w
         vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w),
-                                scratch[: nblk * w].reshape(nblk, w))
+                                scratch[: nblk * w].reshape(nblk, w), ties)
         if vals.size:
             used_w.append(w)
             means.append(float(vals.sum() / vals.size))

@@ -99,11 +99,6 @@ def score_corpus(documents: tuple[Document, ...], query: Query) -> RelevanceTabl
     )
 
 
-def rank_by(table: RelevanceTable, measure: Measure) -> np.ndarray:
-    """Document indices by descending score (stable sort); ties go to the earlier document."""
-    return np.argsort(-table.scores(measure), kind="stable")
-
-
 def mutual_sequence(
     table: RelevanceTable,
     ranked_by: Measure,
@@ -112,11 +107,12 @@ def mutual_sequence(
 ) -> np.ndarray:
     """Values of ``read_off`` read in the rank order induced by ``ranked_by``.
 
-    With ``include_zero_scores=False`` documents matching no query term are
-    dropped before ranking (their normalized scores sit at exactly 0, outside
-    the open interval the measures are meant to occupy).
+    Documents are ranked by descending ``ranked_by`` score with a stable sort,
+    so ties keep ingestion order. With ``include_zero_scores=False`` documents
+    matching no query term are dropped before ranking (their normalized scores
+    sit at exactly 0, outside the open interval the measures are meant to occupy).
     """
-    order = rank_by(table, ranked_by)
+    order = np.argsort(-table.scores(ranked_by), kind="stable")
     if not include_zero_scores:
         order = order[~table.zero_score[order]]
         if order.size == 0:

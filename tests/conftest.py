@@ -2,6 +2,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fracrank.corpus import Query, ingest_jsonl_path
@@ -35,3 +36,26 @@ def micro_corpus():
 @pytest.fixture(scope="session")
 def micro_table(micro_corpus):
     return score_corpus(micro_corpus, Query(("alpha", "beta")))
+
+
+def unit_scaled(series):
+    """The series divided by 2**e, e the frexp exponent of max|x|, as the estimators do.
+
+    The division by a power of two is exact, so a reference computed on the
+    result sees the operands the estimators see.
+    """
+    x = np.asarray(series, dtype=float)
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
+def textbook_rs(block):
+    """Textbook R/S of one block (numpy mean, population std, cumsum); None if degenerate.
+
+    A block is degenerate when it is constant or its standard deviation is 0.
+    """
+    block = np.asarray(block, dtype=float)
+    s = block.std()
+    if np.ptp(block) == 0.0 or s == 0.0:
+        return None
+    cum = np.cumsum(block - block.mean())
+    return (cum.max() - cum.min()) / s

@@ -21,7 +21,7 @@ from fracrank.rankstats import empirical_cdf_map, occupancy_stats, poincare_map,
 from fracrank.relevance import Measure, mutual_sequence, score_corpus
 from fracrank.synth import fgn, power_law_ranks, white_noise
 
-from conftest import MICRO_CORPUS, load_brute_force_oracle
+from conftest import MICRO_CORPUS, load_brute_force_oracle, textbook_rs, unit_scaled
 
 N_SEEDS = 50
 SERIES_LEN = 8192
@@ -120,10 +120,14 @@ def test_dfa_oracle_equivalence():
 
 
 def test_rs_hand_values():
-    a = rs_statistic([1, -1, 1, -1])
-    b = rs_statistic([1, 2, 3, 4])
-    ok = abs(a - 1.0) <= 1e-12 and abs(b - 2 / math.sqrt(1.25)) <= 1e-12
-    report("R/S hand values", ok, f"rs([1,-1,1,-1])={a}, rs([1,2,3,4])={b:.12f}")
+    # rs_statistic and the textbook formula (on the same exactly rescaled input)
+    # both against the hand values.
+    cases = (([1, -1, 1, -1], 1.0), ([1, 2, 3, 4], 2 / math.sqrt(1.25)))
+    got = [(rs_statistic(x), textbook_rs(unit_scaled(x))) for x, _ in cases]
+    ok = all(abs(v - want) <= 1e-12 for (_, want), pair in zip(cases, got) for v in pair)
+    (a, ta), (b, tb) = got
+    report("R/S hand values", ok,
+           f"rs([1,-1,1,-1])={a} (textbook {ta}), rs([1,2,3,4])={b:.12f} (textbook {tb:.12f})")
 
 
 def test_zipf_exactness_and_recovery():

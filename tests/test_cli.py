@@ -270,12 +270,30 @@ class TestAnalyze:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_values_named_error(self, runner, tmp_path):
-        series = write_series(tmp_path / "huge.csv", white_noise(256, 1) * 1e200)
+        # The values fit a float, but D(n) * 1e307 does not.
+        series = write_series(tmp_path / "huge.csv", fgn(8192, 0.75, 3) * 1e307)
         result = runner.invoke(main, ["analyze", "--series", str(series),
                                       "--out", str(tmp_path / "a")], catch_exceptions=False)
         assert result.exit_code == 1
-        assert "dfa failed: values too large: floating-point overflow" in result.output
+        assert "dfa failed: values too large" in result.output
         assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 1e-160], ids=["2^-600", "1e-160"])
+    def test_tiny_values_scale_free(self, runner, tmp_path, scale):
+        # Squares of these values underflow unless the estimators rescale first.
+        x = fgn(8192, 0.75, 3)
+        summaries = []
+        for name, values in (("plain", x), ("tiny", x * scale)):
+            series = write_series(tmp_path / f"{name}.csv", values)
+            run_ok(runner, ["analyze", "--series", str(series), "--out", str(tmp_path / name)])
+            summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+        plain, tiny = summaries
+        assert tiny.keys() == plain.keys()
+        for key, value in plain.items():
+            if isinstance(value, float):
+                assert tiny[key] == pytest.approx(value, rel=1e-12, abs=0), key
+            else:
+                assert tiny[key] == value, key
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_values_scale_invariant(self, runner, tmp_path):

@@ -24,6 +24,8 @@ from fracrank.fractal import (
 )
 from fracrank.synth import fgn, white_noise
 
+from conftest import textbook_rs, unit_scaled
+
 finite_series = npst.arrays(
     np.float64,
     st.integers(min_value=2, max_value=64),
@@ -100,19 +102,19 @@ def polyfit_ols(x, y):
 
 
 def naive_rs_means(series, windows):
-    """Reference R/S curve: rs_statistic on every block, degenerate blocks skipped.
+    """Reference R/S curve: textbook R/S of every block, degenerate blocks skipped.
 
+    Blocks are cut from the series divided by the estimators' power of two.
     A window whose blocks are all degenerate is dropped, as is one with no block.
     """
-    x = np.asarray(series, dtype=float)
+    x = unit_scaled(series)
     used, means = [], []
     for w in windows:
         vals = []
         for b in range(x.size // w):
-            try:
-                vals.append(rs_statistic(x[b * w : (b + 1) * w]))
-            except DegenerateSeriesError:
-                continue
+            rs = textbook_rs(x[b * w : (b + 1) * w])
+            if rs is not None:
+                vals.append(rs)
         if vals:
             used.append(w)
             means.append(np.mean(vals))
@@ -436,13 +438,22 @@ class TestRsStatistic:
         with pytest.raises(DegenerateSeriesError, match="degenerate"):
             rs_statistic([2.0, 2.0, 2.0])
 
+    def test_constant_with_rounded_mean_is_degenerate(self):
+        # The float mean of 64 copies of 0.1 is off by ~1e-17, so S is tiny but
+        # not 0; scored, the block would read R/S = 63.
+        x = np.full(64, 0.1)
+        assert unit_scaled(x).std() != 0.0
+        with pytest.raises(DegenerateSeriesError, match="degenerate"):
+            rs_statistic(x)
+
     @given(finite_series)
     def test_matches_textbook_formula(self, x):
-        s = x.std()
-        if s == 0.0:
-            return
-        cum = np.cumsum(x - x.mean())
-        assert rs_statistic(x) == pytest.approx((cum.max() - cum.min()) / s, rel=1e-12)
+        want = textbook_rs(unit_scaled(x))
+        if want is None:
+            with pytest.raises(DegenerateSeriesError, match="degenerate"):
+                rs_statistic(x)
+        else:
+            assert rs_statistic(x) == pytest.approx(want, rel=1e-12)
 
     @given(finite_series, st.floats(min_value=-100, max_value=100),
            st.floats(min_value=0.01, max_value=100))
@@ -457,15 +468,40 @@ class TestRsStatistic:
         assert rs_statistic(-x) == pytest.approx(base, rel=1e-9)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestHugeValues:
-    """Squares and sums of ~1e200 leave the float range; ~1e100 still fits."""
+ESTIMATORS = [dfa, hurst_regression, hurst_pointwise, rs_statistic]
 
-    @pytest.mark.parametrize("estimator", [dfa, hurst_regression, hurst_pointwise,
-                                           rs_statistic])
+
+def scale_free_outputs(estimator, x, scale):
+    """Every output of estimator(x * scale) as one flat array, D(n) divided back by scale."""
+    y = x * scale
+    if estimator is dfa:
+        curve = dfa(y)
+        return np.concatenate([curve.windows, curve.d / scale, [curve.alpha, curve.alpha_r2]])
+    if estimator is hurst_regression:
+        r = hurst_regression(y)
+        return np.concatenate([r.rs_windows, r.rs_means, [r.h_regression, r.h_r2]])
+    if estimator is hurst_pointwise:
+        points, skipped = hurst_pointwise(y)
+        return np.concatenate([points.ravel(), skipped])
+    return np.array([rs_statistic(y)])
+
+
+class TestHugeValues:
+    """Squares and sums of ~1e200 would leave the float range, but the estimators
+    work on the series divided by a power of two; only a D(n) beyond it is named."""
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_overflow_named(self, estimator):
-        with pytest.raises(DegenerateSeriesError, match="floating-point overflow"):
-            estimator(white_noise(256, 1) * 1e200)
+        x = white_noise(256, 1)
+        want = scale_free_outputs(estimator, x, 1.0)
+        np.testing.assert_allclose(scale_free_outputs(estimator, x, 1e200), want, rtol=1e-12)
+        if estimator is dfa:
+            # D(n) of this fGn reaches 45, so D(n) * 1e307 is not a float.
+            with pytest.raises(DegenerateSeriesError, match="values too large: D\\(n\\)"):
+                dfa(fgn(8192, 0.75, 3) * 1e307)
+        else:
+            np.testing.assert_allclose(scale_free_outputs(estimator, x, 1e307), want,
+                                       rtol=1e-12)
 
     def test_scale_invariance_at_1e100(self):
         x = white_noise(256, 1)
@@ -475,6 +511,36 @@ class TestHugeValues:
         large, _ = hurst_pointwise(x * 1e100)
         plain, _ = hurst_pointwise(x)
         np.testing.assert_allclose(large, plain, rtol=0, atol=1e-9)
+
+
+SWEEP_SERIES = {
+    "fgn-8192": lambda: fgn(8192, 0.75, 3),
+    "white-4096": lambda: white_noise(4096, 1),
+    "fgn-65536": lambda: fgn(2**16, 0.95, 2),
+}
+SWEEP_SCALES = ([2.0**k for k in range(-1000, 1001, 50)]
+                + [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("name", SWEEP_SERIES)
+def test_scale_sweep_matches_unscaled(name, estimator):
+    """x * 2^k (k = -1000..1000, step 50) and x * 1e+-160/200/300 give x's outputs.
+
+    Below ~1e-155 squares underflow and above ~1e154 they overflow, unless the
+    estimators first divide by a power of two. No D(n) here leaves the float range.
+    """
+    x = SWEEP_SERIES[name]()
+    want = scale_free_outputs(estimator, x, 1.0)
+    for scale in SWEEP_SCALES:
+        np.testing.assert_allclose(scale_free_outputs(estimator, x, scale), want,
+                                   rtol=1e-12, atol=0, err_msg=f"scale {scale!r}")
+
+
+def test_subnormal_d_named():
+    # At 2^-1030 the values are subnormal, and so would be D(n) * 2**e.
+    with pytest.raises(DegenerateSeriesError, match="values too small: D\\(n\\)"):
+        dfa(fgn(8192, 0.75, 3) * 2.0**-1030)
 
 
 class TestHurstPointwise:
@@ -501,6 +567,15 @@ class TestHurstPointwise:
         points, skipped = hurst_pointwise(x)
         assert 16 in skipped
         assert all(n != 16 for n, _ in points)
+
+    def test_constant_prefixes_with_rounded_mean_skipped(self):
+        # Most constant prefixes of 0.1s have a float mean that rounds, so S is not 0.
+        x = np.concatenate([np.full(64, 0.1), white_noise(192, 1)])
+        constant = [n for n in _geometric_grid(16, 256) if n <= 64]
+        assert sum(unit_scaled(x)[:n].std() != 0.0 for n in constant) > len(constant) // 2
+        points, skipped = hurst_pointwise(x)
+        assert skipped == constant
+        assert points[:, 0].min() > 64
 
 
 class TestHurstRegression:
@@ -549,6 +624,17 @@ class TestHurstRegression:
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_with_degenerate_blocks(self, x, data):
         assert_matches_naive_rs(x, windows_for(data, x.size))
+
+    def test_constant_blocks_with_rounded_mean_left_out(self):
+        # The 64- and 128-blocks of 0.1s have a float mean off by ~1e-17 and would
+        # score R/S = w - 1; only the white-noise blocks count.
+        x = np.concatenate([np.full(128, 0.1), white_noise(128, 2)])
+        windows = [16, 32, 64, 128]
+        r = hurst_regression(x, windows=windows)
+        want = [np.mean([textbook_rs(b) for b in unit_scaled(x)[128:].reshape(-1, w)])
+                for w in windows]
+        np.testing.assert_allclose(r.rs_means, want, rtol=1e-12)
+        assert_matches_naive_rs(x, windows)
 
     @given(st.sampled_from([2, 4, 8]),
            st.lists(st.floats(0.5, 10.0), min_size=32, max_size=64), st.data())
