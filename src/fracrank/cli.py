@@ -1,17 +1,18 @@
 """Batch CLI: score a corpus, analyze a sequence, generate synthetic series.
 
-Every run writes a ``manifest.json`` echoing the fully resolved configuration;
-``fracrank rerun MANIFEST --out DIR`` reproduces the run byte-for-byte. A run
-computes everything before it writes its first file, so a failed run writes
-nothing. Each file write is atomic (temp file + rename); tables use the one
-CSV dialect of ``fracrank.table`` and JSON rejects non-finite numbers.
+Every run writes a ``manifest.json`` echoing the fully resolved options;
+``fracrank rerun MANIFEST --out DIR`` turns them back into the command line
+they record and parses it with the command's own options, so a manifest is
+accepted exactly when that command line is, and the run is reproduced
+byte-for-byte. A run computes everything before it writes its first file, so
+a failed run writes nothing. Each file write is atomic (temp file + rename);
+tables use the one CSV dialect of ``fracrank.table`` and JSON rejects
+non-finite numbers.
 """
 
 from __future__ import annotations
 
 import json
-import typing
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -47,45 +48,15 @@ from fracrank.table import format_table, write_atomic
 OUT_ENV_VAR = "FRACRANK_OUT"
 
 
-@dataclass(frozen=True)
-class ScoreConfig:
-    corpus: str
-    query: str
-
-
-@dataclass(frozen=True)
-class AnalyzeConfig:
-    scores: str | None = None
-    series: str | None = None
-    ranked_by: str = "q"
-    read_off: str = "f"
-    trim: float = 0.05
-    grid: int = 32
-    include_zero_scores: bool = False
-    dfa_windows: tuple[int, ...] | None = None
-    rs_windows: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    kind: str
-    length: int
-    seed: int = 0
-    h: float | None = None
-    beta: float | None = None
-    noise: float = 0.0
-    slope: float | None = None
-    intercept: float | None = None
-
-
 # The generator kinds: every --kind spelling maps to (name in messages, the
 # options that kind requires, the generator call). The calls look the
 # generators up when they run, so a generator replaced on this module is used.
-_WHITE = ("white", (), lambda c: white_noise(c.length, c.seed))
-_FGN = ("fgn", ("h",), lambda c: fgn(c.length, c.h, c.seed))
+_WHITE = ("white", (), lambda o: white_noise(o["length"], o["seed"]))
+_FGN = ("fgn", ("h",), lambda o: fgn(o["length"], o["h"], o["seed"]))
 _LINEAR = ("linear", ("slope", "intercept"),
-           lambda c: linear_trend(c.length, c.slope, c.intercept))
-_POWER = ("power", ("beta",), lambda c: power_law_ranks(c.length, c.beta, c.noise, c.seed))
+           lambda o: linear_trend(o["length"], o["slope"], o["intercept"]))
+_POWER = ("power", ("beta",),
+          lambda o: power_law_ranks(o["length"], o["beta"], o["noise"], o["seed"]))
 _KINDS = {
     "white": _WHITE,
     "white_noise": _WHITE,
@@ -109,35 +80,35 @@ def _json(record: dict, indent: int | None = None) -> str:
         raise ValueError(f"non-finite value in JSON output: {exc}") from exc
 
 
-def _manifest(command: str, config) -> str:
-    return _json({"command": command, "config": asdict(config)}, indent=2)
+def _manifest(command: str, options: dict) -> str:
+    return _json({"command": command, "config": options}, indent=2)
 
 
-def run_score(cfg: ScoreConfig, outdir: Path) -> None:
-    query = Query.from_string(cfg.query)
-    corpus = ingest_jsonl_path(cfg.corpus, query.terms)
+def run_score(options: dict, outdir: Path) -> None:
+    query = Query.from_string(options["query"])
+    corpus = ingest_jsonl_path(options["corpus"], query.terms)
     table = score_corpus(corpus, query)
     summary = _json({
         "n_documents": len(corpus),
         "n_terms": len(query.terms),
         "n_zero_score": int(table.zero_score.sum()),
     })
-    manifest = _manifest("score", cfg)
+    manifest = _manifest("score", options)
     write_atomic(outdir / "scores.csv", table.to_csv())
     write_atomic(outdir / "summary.json", [summary])
     write_atomic(outdir / "manifest.json", [manifest])
 
 
-def _load_sequence(cfg: AnalyzeConfig) -> np.ndarray:
-    if (cfg.scores is None) == (cfg.series is None):
+def _load_sequence(options: dict) -> np.ndarray:
+    if (options["scores"] is None) == (options["series"] is None):
         raise click.UsageError("exactly one of --scores or --series is required")
-    if cfg.series is not None:
-        return read_series_csv(cfg.series)
+    if options["series"] is not None:
+        return read_series_csv(options["series"])
     return mutual_sequence(
-        RelevanceTable.from_csv(cfg.scores),
-        ranked_by=Measure(cfg.ranked_by),
-        read_off=Measure(cfg.read_off),
-        include_zero_scores=cfg.include_zero_scores,
+        RelevanceTable.from_csv(options["scores"]),
+        ranked_by=Measure(options["ranked_by"]),
+        read_off=Measure(options["read_off"]),
+        include_zero_scores=options["include_zero_scores"],
     )
 
 
@@ -149,18 +120,18 @@ def _estimate(name: str, estimator, values: np.ndarray, windows):
         raise click.ClickException(f"{name} failed: {exc}") from exc
 
 
-def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
-    manifest = _manifest("analyze", cfg)  # rejects a non-finite option before any work
-    if not 0.0 <= cfg.trim <= MAX_TRIM:
+def run_analyze(options: dict, outdir: Path) -> None:
+    manifest = _manifest("analyze", options)  # rejects a non-finite option before any work
+    if not 0.0 <= options["trim"] <= MAX_TRIM:
         raise click.UsageError(f"--trim must be in [0, {MAX_TRIM}]")
-    values = _load_sequence(cfg)
+    values = _load_sequence(options)
     # The return map comes first, so a bad --grid fails before the estimators run.
     # It needs coordinates in [0,1]; rank-map anything else.
     cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
     pts = poincare_map(empirical_cdf_map(values) if cdf_mapped else values)
-    occ = occupancy_stats(pts, cfg.grid)
-    curve = _estimate("dfa", dfa, values, cfg.dfa_windows)
-    hres = _estimate("hurst_regression", hurst_regression, values, cfg.rs_windows)
+    occ = occupancy_stats(pts, options["grid"])
+    curve = _estimate("dfa", dfa, values, options["dfa_windows"])
+    hres = _estimate("hurst_regression", hurst_regression, values, options["rs_windows"])
     points, _ = hurst_pointwise(values)
     summary = {
         "n_values": int(values.size),
@@ -175,7 +146,7 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
         "chi2_uniform": occ.chi2_uniform,
     }
     try:
-        zf = zipf_fit(np.sort(values)[::-1], trim_fraction=cfg.trim)
+        zf = zipf_fit(np.sort(values)[::-1], trim_fraction=options["trim"])
         summary.update(
             zipf_semilog_slope=zf.semilog_slope,
             zipf_semilog_r2=zf.semilog_r2,
@@ -195,31 +166,24 @@ def run_analyze(cfg: AnalyzeConfig, outdir: Path) -> None:
     write_atomic(outdir / "manifest.json", [manifest])
 
 
-def run_synth(cfg: SynthConfig, outdir: Path) -> None:
-    if cfg.kind not in _KINDS:
-        raise click.UsageError(f"unknown generator kind {cfg.kind!r}")
-    name, required, generate = _KINDS[cfg.kind]
-    if any(getattr(cfg, option) is None for option in required):
-        options = " and ".join(f"--{option}" for option in required)
-        raise click.UsageError(f"--kind {name} requires {options}")
-    if cfg.length < 2:
+def run_synth(options: dict, outdir: Path) -> None:
+    if options["kind"] not in _KINDS:
+        raise click.UsageError(f"unknown generator kind {options['kind']!r}")
+    name, required, generate = _KINDS[options["kind"]]
+    if any(options[option] is None for option in required):
+        flags = " and ".join(f"--{option}" for option in required)
+        raise click.UsageError(f"--kind {name} requires {flags}")
+    if options["length"] < 2:
         raise click.UsageError("length must be >= 2")
-    if not 0 <= cfg.seed < 2**64:
+    if not 0 <= options["seed"] < 2**64:
         raise click.UsageError("seed must be an unsigned 64-bit integer")
     try:
-        values = generate(cfg)
+        values = generate(options)
     except SynthError as exc:
         raise click.UsageError(str(exc)) from exc
-    manifest = _manifest("synth", cfg)
+    manifest = _manifest("synth", options)
     write_atomic(outdir / "series.csv", write_series_csv(values))
     write_atomic(outdir / "manifest.json", [manifest])
-
-
-_RUNNERS = {
-    "score": (ScoreConfig, run_score),
-    "analyze": (AnalyzeConfig, run_analyze),
-    "synth": (SynthConfig, run_synth),
-}
 
 
 _out_option = click.option(
@@ -231,43 +195,35 @@ _out_option = click.option(
 )
 
 
-def _run(runner, cfg, out) -> None:
+def _run(runner, options, out) -> None:
     """Run a command; fracrank errors (all ValueError) and file errors exit 1 with their message."""
     try:
-        runner(cfg, Path(out))
+        runner(options, Path(out))
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
 
 
-def _config_from_manifest(config_cls, raw: dict):
-    """The manifest's config as ``config_cls``, each value checked against its field's type."""
-    for key in ("dfa_windows", "rs_windows"):
-        value = raw.get(key)
+def _command_line(command: click.Command, config: dict) -> list[str]:
+    """The command line that a manifest's config records, for the command's own parser.
+
+    null leaves an option out, a flag is given when its value is true, a list is
+    comma-joined, and any other string or number is passed as ``--opt=text``.
+    """
+    params = {p.name: p for p in command.params if p.name != "out"}
+    args = []
+    for key, value in config.items():
+        if key not in params:
+            raise click.UsageError(f"unknown field {key!r}")
+        flag = params[key].opts[0]
+        if isinstance(value, dict) or (isinstance(value, bool) and not params[key].is_flag):
+            raise click.UsageError(f"{key} = {json.dumps(value)} is not a value for {flag}")
         if isinstance(value, list):
-            # The estimators cast windows with int(), which would truncate 4.7 and
-            # read true as 1, so only exact ints pass.
-            if not all(type(w) is int for w in value):
-                raise click.ClickException(
-                    f"bad manifest config: {key} = {value!r} is not a list of integers"
-                )
-            raw[key] = tuple(value)
-    for key, hint in typing.get_type_hints(config_cls).items():
-        if key not in raw:
-            continue
-        value = raw[key]
-        # "float | None" allows float and None; tuple[int, ...] checks as tuple.
-        types = tuple(typing.get_origin(t) or t for t in typing.get_args(hint) or [hint])
-        if float in types:
-            types += (int,)
-        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
-            declared = config_cls.__annotations__[key]
-            raise click.ClickException(
-                f"bad manifest config: {key} = {value!r} is not {declared}"
-            )
-    try:
-        return config_cls(**raw)
-    except TypeError as exc:
-        raise click.ClickException(f"bad manifest config: {exc}") from exc
+            value = ",".join(map(str, value))
+        if value is True:
+            args.append(flag)
+        elif value is not None and value is not False:
+            args.append(f"{flag}={value}")
+    return args
 
 
 @click.group()
@@ -282,7 +238,7 @@ def _windows(ctx, param, text):
     try:
         return tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
-        raise click.UsageError(f"bad window list {text!r}") from exc
+        raise click.BadParameter(f"bad window list {text!r}") from exc
 
 
 @main.command()
@@ -291,40 +247,38 @@ def _windows(ctx, param, text):
 @_out_option
 def score(out, **options):
     """Score a line-delimited JSON corpus against a query; writes scores.csv."""
-    _run(run_score, ScoreConfig(**options), out)
+    _run(run_score, options, out)
 
 
 @main.command()
 @click.option("--scores", type=click.Path(exists=True, dir_okay=False))
 @click.option("--series", type=click.Path(exists=True, dir_okay=False))
-@click.option("--ranked-by", type=click.Choice(["f", "q"]),
-              default=AnalyzeConfig.ranked_by, show_default=True)
-@click.option("--read-off", type=click.Choice(["f", "q"]),
-              default=AnalyzeConfig.read_off, show_default=True)
-@click.option("--trim", type=float, default=AnalyzeConfig.trim, show_default=True)
-@click.option("--grid", type=int, default=AnalyzeConfig.grid, show_default=True)
-@click.option("--include-zero-scores", is_flag=True, default=AnalyzeConfig.include_zero_scores)
+@click.option("--ranked-by", type=click.Choice(["f", "q"]), default="q", show_default=True)
+@click.option("--read-off", type=click.Choice(["f", "q"]), default="f", show_default=True)
+@click.option("--trim", type=float, default=0.05, show_default=True)
+@click.option("--grid", type=int, default=32, show_default=True)
+@click.option("--include-zero-scores", is_flag=True)
 @click.option("--dfa-windows", callback=_windows, help="Comma-separated DFA window sizes.")
 @click.option("--rs-windows", callback=_windows, help="Comma-separated R/S block sizes.")
 @_out_option
 def analyze(out, **options):
     """Run the full analysis bundle on a scores table or a bare series."""
-    _run(run_analyze, AnalyzeConfig(**options), out)
+    _run(run_analyze, options, out)
 
 
 @main.command()
 @click.option("--kind", required=True, help="white | fgn | linear | power (long names accepted).")
 @click.option("--len", "length", required=True, type=int)
-@click.option("--seed", type=int, default=SynthConfig.seed, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--h", type=float, help="Target Hurst index for fgn.")
 @click.option("--beta", type=float, help="Power-law exponent.")
-@click.option("--noise", type=float, default=SynthConfig.noise, show_default=True)
+@click.option("--noise", type=float, default=0.0, show_default=True)
 @click.option("--slope", type=float)
 @click.option("--intercept", type=float)
 @_out_option
 def synth(out, **options):
     """Generate a deterministic synthetic series; writes series.csv."""
-    _run(run_synth, SynthConfig(**options), out)
+    _run(run_synth, options, out)
 
 
 @main.command()
@@ -339,15 +293,16 @@ def rerun(manifest, out):
     if not isinstance(record, dict) or not isinstance(record.get("config", {}), dict):
         raise click.ClickException("manifest must be a JSON object with a config object")
     command = record.get("command")
-    if command not in _RUNNERS:
+    if command not in ("score", "analyze", "synth"):
         raise click.ClickException(f"manifest has unknown command {command!r}")
-    config_cls, runner = _RUNNERS[command]
-    cfg = _config_from_manifest(config_cls, dict(record.get("config", {})))
+    cmd = main.commands[command]
     try:
-        _run(runner, cfg, out)
+        args = _command_line(cmd, record.get("config", {})) + [f"--out={out}"]
+        with cmd.make_context(command, args) as ctx:
+            cmd.invoke(ctx)
     except click.UsageError as exc:
-        # A runner's usage error here is a bad manifest value, not bad rerun arguments.
-        raise click.ClickException(f"bad manifest config: {exc.message}") from exc
+        # Every usage error here is a bad manifest value, not bad rerun arguments.
+        raise click.ClickException(f"bad manifest config: {exc.format_message()}") from exc
 
 
 if __name__ == "__main__":

@@ -27,10 +27,9 @@ class ZipfFit:
 
     ``semilog``: ln(value) vs rank (exponential decay model);
     ``loglog``: ln(value) vs ln(rank) (power-law model).
-    ``trim_fraction`` ranks are dropped from each end before fitting.
+    ``n_used`` values are left after trimming both ends.
     """
 
-    trim_fraction: float
     semilog_slope: float
     semilog_r2: float
     loglog_slope: float
@@ -53,7 +52,6 @@ class PoincarePoints:
 class OccupancyReport:
     """Cell occupancy of return-map points on a G x G grid over (0,1]^2."""
 
-    grid_size: int
     occupied_cells: int
     occupied_fraction: float
     chi2_uniform: float
@@ -88,7 +86,6 @@ def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
     semi_slope, _, semi_r2 = _ols(ranks, ln_v)
     log_slope, _, log_r2 = _ols(np.log(ranks), ln_v)
     return ZipfFit(
-        trim_fraction=trim_fraction,
         semilog_slope=semi_slope,
         semilog_r2=semi_r2,
         loglog_slope=log_slope,
@@ -130,7 +127,6 @@ def occupancy_stats(points: PoincarePoints, grid_size: int) -> OccupancyReport:
     expected = pts.shape[0] / (g * g)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     return OccupancyReport(
-        grid_size=g,
         occupied_cells=occupied,
         occupied_fraction=occupied / (g * g),
         chi2_uniform=chi2,

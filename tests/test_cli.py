@@ -95,6 +95,31 @@ OLD_RUN_MANIFESTS = {
 }
 
 
+# A manifest of a valid run with one field set to a bad value (DROP: removed),
+# and the message rerun exits with: (command, field, value, message).
+DROP = object()
+BROKEN_MANIFEST_FIELDS = {
+    "wrong_type": ("synth", "length", "x",
+                   "Invalid value for '--len': 'x' is not a valid integer"),
+    "unknown_kind": ("synth", "kind", "pink", "unknown generator kind 'pink'"),
+    "short_length": ("synth", "length", 1, "length must be >= 2"),
+    "no_kind": ("synth", "kind", DROP, "Missing option '--kind'."),
+    "trim_out_of_range": ("analyze", "trim", 2.0, "--trim must be in [0, 0.25]"),
+    # int() would silently truncate 4.7 and read true as 1.
+    "float_windows": ("analyze", "dfa_windows", [4.7, 8.9, 16, 32],
+                      "Invalid value for '--dfa-windows': bad window list '4.7,8.9,16,32'"),
+    "bool_windows": ("analyze", "rs_windows", [True, 16, 32, 64],
+                     "Invalid value for '--rs-windows': bad window list 'True,16,32,64'"),
+    # The manifest's input is a series; --ranked-by z is still a usage error.
+    "ranked_by_z": ("analyze", "ranked_by", "z", "Invalid value for '--ranked-by': 'z'"),
+    "zero_scores_int": ("analyze", "include_zero_scores", 1,
+                        "Option '--include-zero-scores' does not take a value"),
+    "unknown_field": ("analyze", "foo", 1, "unknown field 'foo'"),
+    "out_field": ("analyze", "out", "OUT", "unknown field 'out'"),
+    "query_bool": ("score", "query", True, "query = true is not a value for --query"),
+}
+
+
 # scores.csv for the micro corpus and query "alpha beta", as the regex tokenizer
 # and full per-token counts produced it.
 MICRO_SCORES_CSV = """id,raw_f,raw_q,f,q
@@ -373,7 +398,7 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--series", str(series), option, "16,x",
                                       "--out", str(tmp_path / "a")], catch_exceptions=False)
         assert result.exit_code == 2
-        assert "Error: bad window list '16,x'" in result.output
+        assert f"Error: Invalid value for '{option}': bad window list '16,x'" in result.output
         assert not (tmp_path / "a").exists()
 
     def test_requires_exactly_one_input(self, runner, tmp_path):
@@ -517,9 +542,8 @@ class TestRerun:
         assert (tmp_path / "b" / "manifest.json").read_text() == text
         assert read_dir(tmp_path / "b") == read_dir(tmp_path / "a")
 
-    @pytest.mark.parametrize("case", ["missing_input", "not_json", "wrong_type",
-                                      "unknown_kind", "short_length", "no_input",
-                                      "trim_out_of_range", "float_windows", "bool_windows"])
+    @pytest.mark.parametrize("case", ["missing_input", "not_json", "no_input"]
+                             + sorted(BROKEN_MANIFEST_FIELDS))
     def test_broken_manifest_clean_error(self, runner, tmp_path, case):
         sdir = tmp_path / "s"
         run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
@@ -531,7 +555,7 @@ class TestRerun:
             run_ok(runner, ["analyze", "--series", str(moved), "--out", str(tmp_path / "a")])
             manifest.write_bytes((tmp_path / "a" / "manifest.json").read_bytes())
             moved.unlink()
-            message = "No such file or directory"
+            message = f"bad manifest config: Invalid value for '--series': File '{moved}' does not"
         elif case == "not_json":
             manifest.write_text('{"command": "synth", "config": {')
             message = "cannot read manifest"
@@ -539,31 +563,20 @@ class TestRerun:
             manifest.write_text(json.dumps({"command": "analyze",
                                             "config": {"scores": None, "series": None}}))
             message = "bad manifest config: exactly one of --scores or --series is required"
-        elif case == "trim_out_of_range":
-            run_ok(runner, ["analyze", "--series", str(sdir / "series.csv"),
-                            "--out", str(tmp_path / "a")])
-            record = json.loads((tmp_path / "a" / "manifest.json").read_text())
-            record["config"]["trim"] = 2.0
-            manifest.write_text(json.dumps(record))
-            message = "bad manifest config: --trim must be in [0, 0.25]"
-        elif case in ("float_windows", "bool_windows"):
-            # int() would silently truncate 4.7 and read true as 1.
-            key, value = {"float_windows": ("dfa_windows", [4.7, 8.9, 16, 32]),
-                          "bool_windows": ("rs_windows", [True, 16, 32, 64])}[case]
-            run_ok(runner, ["analyze", "--series", str(sdir / "series.csv"),
-                            "--out", str(tmp_path / "a")])
-            record = json.loads((tmp_path / "a" / "manifest.json").read_text())
-            record["config"][key] = value
-            manifest.write_text(json.dumps(record))
-            message = f"bad manifest config: {key} = {value!r} is not a list of integers"
         else:
-            key, value, detail = {
-                "wrong_type": ("length", "x", "length = 'x' is not int"),
-                "unknown_kind": ("kind", "pink", "unknown generator kind 'pink'"),
-                "short_length": ("length", 1, "length must be >= 2"),
-            }[case]
-            record = json.loads((sdir / "manifest.json").read_text())
-            record["config"][key] = value
+            command, key, value, detail = BROKEN_MANIFEST_FIELDS[case]
+            if command == "analyze":
+                run_ok(runner, ["analyze", "--series", str(sdir / "series.csv"),
+                                "--out", str(tmp_path / "a")])
+            elif command == "score":
+                run_ok(runner, ["score", "--corpus", str(MICRO_CORPUS),
+                                "--query", "alpha beta", "--out", str(tmp_path / "a")])
+            source = sdir if command == "synth" else tmp_path / "a"
+            record = json.loads((source / "manifest.json").read_text())
+            if value is DROP:
+                del record["config"][key]
+            else:
+                record["config"][key] = str(tmp_path / "b") if value == "OUT" else value
             manifest.write_text(json.dumps(record))
             message = f"bad manifest config: {detail}"
         result = runner.invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "b")],
