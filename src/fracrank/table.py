@@ -1,23 +1,30 @@
-"""The one CSV dialect fracrank reads and writes.
+"""The one CSV dialect fracrank reads and writes, and the writer of a run's files.
 
 A table is a header row of column names, then one row per record, every line
 ending in ``\\n``. Numbers are written with 12 significant digits
 (``"%.12g"``); text fields are quoted as RFC 4180 does, and only when they
 hold a comma, a quote or a line break. Non-finite numbers are rejected both
-ways. Tables are formatted and written in chunks of ``CHUNK_ROWS`` rows into a
-temp file that is renamed into place, so a reader never sees half a file and
-no whole-file string is built.
+ways. Tables are formatted in chunks of ``CHUNK_ROWS`` rows, so no whole-file
+string is built.
+
+A run writes its files through one ``Bundle``: each file goes to a temp file
+beside its target, and the temp files are renamed into place only once every
+one of them has been written, so a failed run leaves its output directory as
+it found it. ``Bundle.write_in_child`` hands large tables to one forked child
+(``os.fork``, so POSIX only) that formats and writes them while the caller
+goes on computing.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import re
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -84,29 +91,138 @@ def _umask() -> int:
     return mask
 
 
-def write_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Write text chunks to a temp file beside ``path``, then rename it into place."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def _write(fd: int, chunks: Iterable[str]) -> None:
+    with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
+def _write_and_exit(pipe: int, files) -> NoReturn:
+    """The writer child: write each ``(fd, chunks)``, send any error text down ``pipe``, exit.
+
+    ``os._exit`` ends the child without running the caller's cleanup or
+    flushing its buffers; the caller reads the pipe and the exit code.
+    """
+    status = 1
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-            # mkstemp creates the file 0600; give it the mode open() would.
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for fd, chunks in files:
+            _write(fd, chunks)
+        status = 0
+    except BaseException as exc:  # the child's top level: an interrupt is reported too
+        os.write(pipe, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
+    finally:
+        os._exit(status)
+
+
+class Bundle:
+    """The files of one run in ``outdir``, renamed into place together.
+
+    Use it as a context manager. ``write`` writes a file in this process and
+    ``write_in_child`` in one forked child, each to a temp file beside its
+    target. Leaving the block normally waits for the child, checks that no
+    target is a directory, and only then renames the temp files into place,
+    with the mode a plain ``open()`` would give them. On any error or
+    interrupt it kills and reaps the child, unlinks the temp files and removes
+    the directories that it created.
+    """
+
+    def __init__(self, outdir) -> None:
+        self.outdir = Path(outdir)
+        # Deepest first: the order in which a failed run removes them.
+        self._created = [d for d in (self.outdir, *self.outdir.parents) if not os.path.lexists(d)]
+        self._staged: list[tuple[str, Path]] = []  # (temp file, target)
+        self._mode = 0o666 & ~_umask()
+        self._pid: int | None = None  # the writer child
+        self._pipe: int | None = None  # read end of the child's error pipe
+
+    def __enter__(self) -> "Bundle":
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except BaseException:
+            self._abort()
+            raise
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None:
+            self._abort()
+            return
+        try:
+            self._commit()
+        except BaseException:
+            self._abort()
+            raise
+
+    def _stage(self, name: str) -> int:
+        fd, tmp = tempfile.mkstemp(dir=self.outdir, prefix=f".{name}.")
+        self._staged.append((tmp, self.outdir / name))
+        os.fchmod(fd, self._mode)  # mkstemp creates the file 0600
+        return fd
+
+    def write(self, name: str, chunks: Iterable[str]) -> None:
+        """Write text chunks to the temp file of ``outdir / name``."""
+        _write(self._stage(name), chunks)
+
+    def write_in_child(self, tables: dict[str, Iterable[str]]) -> None:
+        """Write ``{name: chunks}`` in one forked child while the caller goes on.
+
+        The chunks are iterated in the child only, so lazy chunks (the
+        ``format_*`` generators) are formatted there. The child must call no
+        BLAS, which may hold locks that another thread took before the fork.
+        """
+        fds = [self._stage(name) for name in tables]
+        self._pipe, write_end = os.pipe()
+        try:
+            self._pid = os.fork()
+            if self._pid == 0:
+                _write_and_exit(write_end, zip(fds, tables.values()))
+        finally:  # the parent's copies; the child never gets here
+            for fd in (write_end, *fds):
+                os.close(fd)
+
+    def _commit(self) -> None:
+        if self._pid is not None:
+            with open(self._pipe, "rb") as pipe:
+                self._pipe = None
+                message = pipe.read().decode("utf-8", "replace")
+            code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+            self._pid = None
+            if message or code:
+                raise TableError(message or f"table writer child exited with code {code}")
+        for _, target in self._staged:
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for tmp, target in self._staged:
+            os.replace(tmp, target)
+        self._staged.clear()
+
+    def _abort(self) -> None:
+        if self._pid is not None:
+            import signal  # only a failed run needs it, so importing fracrank.cli does not
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._pipe is not None:
+            os.close(self._pipe)
+            self._pipe = None
+        for tmp, _ in self._staged:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+        for directory in self._created:
+            try:
+                os.rmdir(directory)
+            except OSError:  # not empty, so not ours alone
+                break
+
+
+def write_bundle(outdir, files: dict[str, Iterable[str]]) -> None:
+    """Write ``{name: chunks}`` into ``outdir`` as one ``Bundle``."""
+    with Bundle(outdir) as bundle:
+        for name, chunks in files.items():
+            bundle.write(name, chunks)
 
 
 def _parse(fh, width: int, text_columns: int) -> tuple[list, np.ndarray]:
-    if not text_columns:
-        with warnings.catch_warnings():
-            # An empty table is rejected by the caller, with a clearer message.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return [], np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     rows = [row for row in csv.reader(fh) if row]
     for i, row in enumerate(rows, 1):
         if len(row) != width:
@@ -114,6 +230,16 @@ def _parse(fh, width: int, text_columns: int) -> tuple[list, np.ndarray]:
     text = [tuple(row[j] for row in rows) for j in range(text_columns)]
     numbers = np.array([row[text_columns:] for row in rows], dtype=float)
     return text, numbers.reshape(len(rows), width - text_columns)
+
+
+def _load_numbers(path: Path, skiprows: int) -> np.ndarray:
+    # Given the path, loadtxt opens and reads the file itself, about twice as
+    # fast as through a Python file object.
+    with warnings.catch_warnings():
+        # An empty table is rejected by the caller, with a clearer message.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skiprows,
+                          encoding="utf-8")
 
 
 def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list:
@@ -128,9 +254,13 @@ def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list
     width = len(header)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            if fh.readline().strip().lower() != ",".join(header).lower():
-                fh.seek(0)
-            text, numbers = _parse(fh, width, text_columns)
+            has_header = fh.readline().strip().lower() == ",".join(header).lower()
+            if text_columns:
+                if not has_header:
+                    fh.seek(0)
+                text, numbers = _parse(fh, width, text_columns)
+        if not text_columns:
+            text, numbers = [], _load_numbers(path, int(has_header))
     except (csv.Error, ValueError) as exc:
         raise TableError(f"{path.name}: {exc}") from exc
     if numbers.shape[0] == 0:

@@ -1,10 +1,15 @@
 import json
+import os
+import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fracrank.rankstats
+import fracrank.table
 from fracrank.cli import main
 from fracrank.relevance import Measure, RelevanceTable, mutual_sequence
 from fracrank.synth import (
@@ -15,7 +20,7 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import write_atomic
+from fracrank.table import write_bundle
 
 from conftest import MICRO_CORPUS, MICRO_F, MICRO_MUTUAL_F_OF_Q, MICRO_Q
 
@@ -36,7 +41,7 @@ def read_dir(path: Path) -> dict:
 
 
 def write_series(path: Path, values) -> Path:
-    write_atomic(path, write_series_csv(values))
+    write_bundle(path.parent, {path.name: write_series_csv(values)})
     return path
 
 
@@ -480,6 +485,95 @@ class TestSynth:
         monkeypatch.setenv("FRACRANK_OUT", str(tmp_path / "envout"))
         run_ok(runner, ["synth", "--kind", "white", "--len", "16", "--seed", "1"])
         assert (tmp_path / "envout" / "series.csv").exists()
+
+
+def tree(path: Path) -> dict:
+    """Every file and directory under ``path``, temp files too, with each file's bytes."""
+    return {p.relative_to(path).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(path.rglob("*"))}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCommit:
+    """A run's files are renamed into place together; a failed run leaves --out as it was."""
+
+    @pytest.fixture
+    def series(self, tmp_path):
+        return write_series(tmp_path / "series.csv", fgn(1024, 0.7, 1))
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("analyze", "poincare.csv"), ("analyze", "sequence.csv"), ("analyze", "manifest.json"),
+        ("synth", "manifest.json"), ("score", "manifest.json"),
+    ])
+    def test_unreplaceable_target_leaves_out_unchanged(self, runner, tmp_path, series,
+                                                       command, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        (out / blocked / "inner.txt").write_text("inner")
+        (out / "keep.txt").write_text("untouched")
+        before = tree(out)
+        args = {
+            "analyze": ["analyze", "--series", str(series)],
+            "synth": ["synth", "--kind", "white", "--len", "256"],
+            "score": ["score", "--corpus", str(MICRO_CORPUS), "--query", "alpha beta"],
+        }[command]
+        result = runner.invoke(main, args + ["--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert f"Is a directory: '{out / blocked}'" in result.output
+        assert tree(out) == before
+        assert_no_child_left()
+
+    def test_no_process_left(self, runner, tmp_path, series):
+        run_ok(runner, ["analyze", "--series", str(series), "--out", str(tmp_path / "a")])
+        assert_no_child_left()
+        flat = tmp_path / "flat.csv"
+        flat.write_text("value\n" + "1.0\n" * 64)  # fails in dfa, after the writer child starts
+        result = runner.invoke(main, ["analyze", "--series", str(flat),
+                                      "--out", str(tmp_path / "b" / "c")])
+        assert result.exit_code == 1
+        assert "dfa failed" in result.output
+        assert not (tmp_path / "b").exists()
+        assert_no_child_left()
+
+    def test_failed_run_kills_its_writer_child(self, runner, tmp_path, monkeypatch):
+        def stuck(column):
+            time.sleep(30)
+            return ""
+
+        monkeypatch.setattr(fracrank.table, "_lines", stuck)  # the child formats sequence.csv
+        flat = tmp_path / "flat.csv"
+        flat.write_text("value\n" + "1.0\n" * 64)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["analyze", "--series", str(flat),
+                                      "--out", str(tmp_path / "a")])
+        assert result.exit_code == 1
+        assert time.perf_counter() - start < 10  # killed, not waited for
+        assert not (tmp_path / "a").exists()
+        assert_no_child_left()
+
+    def test_writer_child_error(self, runner, tmp_path, series, monkeypatch):
+        out = tmp_path / "out"
+        run_ok(runner, ["analyze", "--series", str(series), "--out", str(out)])
+        (out / "keep.txt").write_text("untouched")
+        before = tree(out)
+
+        def failing_pairs(header, values):
+            raise RuntimeError(f"format_pairs failed in process {os.getpid()}")
+            yield
+
+        monkeypatch.setattr(fracrank.rankstats, "format_pairs", failing_pairs)
+        result = runner.invoke(main, ["analyze", "--series", str(series), "--grid", "8",
+                                      "--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 1
+        pid = re.search(r"Error: format_pairs failed in process (\d+)", result.output)
+        assert pid and int(pid.group(1)) != os.getpid()  # raised in the writer child
+        assert list(out.glob(".*.csv.*")) == []
+        assert tree(out) == before
+        assert_no_child_left()
 
 
 class TestRerun:

@@ -15,7 +15,7 @@ from fracrank.relevance import (
     mutual_sequence,
     score_corpus,
 )
-from fracrank.table import write_atomic
+from fracrank.table import write_bundle
 
 from conftest import (
     MICRO_F,
@@ -171,7 +171,7 @@ class TestMutualSequence:
 class TestCsvRoundTrip:
     def test_export_header_and_roundtrip(self, micro_table, tmp_path):
         path = tmp_path / "scores.csv"
-        write_atomic(path, micro_table.to_csv())
+        write_bundle(path.parent, {path.name: micro_table.to_csv()})
         assert path.read_text().splitlines()[0] == "id,raw_f,raw_q,f,q"
         back = RelevanceTable.from_csv(path)
         assert back.ids == micro_table.ids

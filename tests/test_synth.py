@@ -13,7 +13,7 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import TableError, write_atomic
+from fracrank.table import TableError, write_bundle
 
 
 def sample_autocov(x, lag):
@@ -179,7 +179,7 @@ class TestPowerLawRanks:
 class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):
         x = white_noise(100, 2)
-        write_atomic(tmp_path / "series.csv", write_series_csv(x))
+        write_bundle(tmp_path, {"series.csv": write_series_csv(x)})
         back = read_series_csv(tmp_path / "series.csv")
         np.testing.assert_allclose(back, x, rtol=1e-11)
 

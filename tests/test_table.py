@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracrank.table import (
+    Bundle,
     CHUNK_ROWS,
     TableError,
     format_pairs,
     format_table,
     read_table,
-    write_atomic,
+    write_bundle,
 )
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e22, 1.7976931348623157e308, 1 / 3, -2 / 3,
@@ -33,13 +34,13 @@ def oracle_pairs(values) -> bytes:
 
 class TestWriterBytes:
     def test_edge_values(self, tmp_path):
-        write_atomic(tmp_path / "t.csv", format_table(("value",), [np.array(EDGE_VALUES)]))
+        write_bundle(tmp_path, {"t.csv": format_table(("value",), [np.array(EDGE_VALUES)])})
         assert (tmp_path / "t.csv").read_bytes() == oracle_column(EDGE_VALUES)
 
     def test_integer_column(self, tmp_path):
         n = np.array([4, 16, 1024, 1048576])
         d = np.array([0.5, 1 / 3, 2.0, 1e-9])
-        write_atomic(tmp_path / "t.csv", format_table(("n", "d"), [n, d]))
+        write_bundle(tmp_path, {"t.csv": format_table(("n", "d"), [n, d])})
         want = "n,d\n" + "".join(f"{int(a)},{b:.12g}\n" for a, b in zip(n, d))
         assert (tmp_path / "t.csv").read_text() == want
 
@@ -47,18 +48,18 @@ class TestWriterBytes:
     def test_chunk_boundary(self, tmp_path, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        write_atomic(tmp_path / "t.csv", format_table(("value",), [x]))
+        write_bundle(tmp_path, {"t.csv": format_table(("value",), [x])})
         assert (tmp_path / "t.csv").read_bytes() == oracle_column(x)
 
     @pytest.mark.parametrize("n", [2, 3, CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + 2])
     def test_pairs_chunk_boundary(self, tmp_path, n):
         x = np.random.default_rng(n).random(n)
-        write_atomic(tmp_path / "p.csv", format_pairs(("x", "y"), x))
+        write_bundle(tmp_path, {"p.csv": format_pairs(("x", "y"), x)})
         assert (tmp_path / "p.csv").read_bytes() == oracle_pairs(x)
 
     def test_ids_quoted_only_when_needed(self, tmp_path):
         ids = ("plain", "a,b", 'say "hi"', "x\ny", "cr\rlf", " spaced ")
-        write_atomic(tmp_path / "t.csv", format_table(("id", "v"), [ids, np.arange(6.0)]))
+        write_bundle(tmp_path, {"t.csv": format_table(("id", "v"), [ids, np.arange(6.0)])})
         assert (tmp_path / "t.csv").read_bytes() == (
             b'id,v\nplain,0\n"a,b",1\n"say ""hi""",2\n"x\ny",3\n"cr\rlf",4\n spaced ,5\n')
 
@@ -67,7 +68,7 @@ class TestWriterBytes:
         x = np.zeros(CHUNK_ROWS + 5)
         x[-1] = bad
         with pytest.raises(TableError, match="non-finite"):
-            write_atomic(tmp_path / "t.csv", format_table(("value",), [x]))
+            write_bundle(tmp_path, {"t.csv": format_table(("value",), [x])})
         assert list(tmp_path.iterdir()) == []
 
 
@@ -83,25 +84,48 @@ def test_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     ids = tuple(doc_id for doc_id, _ in rows)
     x = np.array([v for _, v in rows])
-    write_atomic(path, format_table(("id", "x"), [ids, x]))
+    write_bundle(path.parent, {path.name: format_table(("id", "x"), [ids, x])})
     back_ids, back_x = read_table(path, ("id", "x"), text_columns=1)
     assert back_ids == ids
     assert back_x.tolist() == [float("%.12g" % v) for v in x.tolist()]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_write_atomic_mode_follows_umask(tmp_path, umask, mode):
+def test_written_mode_follows_umask(tmp_path, umask, mode):
     path = tmp_path / "t.csv"
     path.write_text("old\n")
     os.chmod(path, 0o600 if mode == 0o644 else 0o644)
     old = os.umask(umask)
     try:
-        write_atomic(path, ["x\n"])
-        write_atomic(tmp_path / "new.csv", ["x\n"])
+        with Bundle(tmp_path) as bundle:
+            bundle.write_in_child({"t.csv": ["x\n"]})
+            bundle.write("new.csv", ["x\n"])
     finally:
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == mode
     assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == mode
+
+
+class TestBundle:
+    def test_files_appear_only_at_commit(self, tmp_path):
+        x = np.arange(3.0 * CHUNK_ROWS)
+        with Bundle(tmp_path) as bundle:
+            bundle.write_in_child({"big.csv": format_table(("value",), [x]), "p.csv": ["p\n"]})
+            bundle.write("small.csv", ["small\n"])
+            assert all(p.name.startswith(".") for p in tmp_path.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "p.csv", "small.csv"]
+        assert (tmp_path / "big.csv").read_bytes() == oracle_column(x)
+        assert (tmp_path / "small.csv").read_text() == "small\n"
+
+    def test_error_removes_what_it_made(self, tmp_path):
+        with pytest.raises(KeyError, match="stop"):
+            with Bundle(tmp_path / "a" / "b") as bundle:
+                bundle.write_in_child({"big.csv": format_table(("value",), [np.zeros(CHUNK_ROWS)])})
+                bundle.write("small.csv", ["x\n"])
+                raise KeyError("stop")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):  # the child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestReader:
@@ -119,6 +143,31 @@ class TestReader:
         n, h = read_table(self.write(tmp_path, "N,h\n16,0.5\n32,0.25\n"), ("N", "h"))
         np.testing.assert_array_equal(n, [16, 32])
         np.testing.assert_array_equal(h, [0.5, 0.25])
+
+    # Edge files of the numeric reader, which hands the path to np.loadtxt: the
+    # values each gives, or the start of its message (numpy words its own
+    # messages differently across versions).
+    @pytest.mark.parametrize("data, want", [
+        (b"value\r\n1.5\r\n-2\r\n", [1.5, -2.0]),
+        (b"value\r1.5\r-2\r", [1.5, -2.0]),
+        (b"value\n\n1.5\n\n\n-2\n\n", [1.5, -2.0]),
+        (b" VaLue \n1.5\n-2\n", [1.5, -2.0]),
+        (b"\xef\xbb\xbfvalue\n1.5\n", "t.csv: could not convert string '\\ufeffvalue' to float"),
+        (b"value\n1.5\n-2\xff\n", "t.csv: 'utf-8' codec can't decode byte 0xff in position"),
+        (b"value\n1.5\nabc\n", "t.csv: could not convert string 'abc' to float"),
+        (b"value\n1.5\n-2,3\n", "t.csv: the number of columns changed from 1 to 2"),
+        (b"value\n1.5\nnan\n", "t.csv: row 2: non-finite value"),
+        (b"", "t.csv: no data rows"),
+    ], ids=["crlf", "lone_cr", "blank_lines", "header_case_spaces", "bom", "non_utf8",
+            "bad_token", "wide_row", "nan", "empty"])
+    def test_numeric_edge_files(self, tmp_path, data, want):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        if isinstance(want, list):
+            assert read_table(path, ("value",))[0].tolist() == want
+        else:
+            with pytest.raises(TableError, match="^" + re.escape(want)):
+                read_table(path, ("value",))
 
     @pytest.mark.parametrize("text, header, text_columns, message", [
         ("value\n1\nnan\n", ("value",), 0, "t.csv: row 2: non-finite value"),
