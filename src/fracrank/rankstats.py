@@ -134,9 +134,21 @@ def occupancy_stats(points: PoincarePoints, grid_size: int) -> OccupancyReport:
 
 
 def empirical_cdf_map(sequence) -> np.ndarray:
-    """Rank-transform values to (0, 1]: value i maps to rank_i / N (ordinal ranks)."""
+    """Rank-transform values to (0, 1]: value i maps to rank_i / N (ordinal ranks).
+
+    Equal values (0.0 and -0.0 too) are ranked in series order, as a stable
+    sort ranks them. The values must not be NaN, and N must be below 3e9.
+    """
     vals = np.asarray(sequence, dtype=float)
-    order = np.argsort(vals, kind="stable")
-    ranks = np.empty(vals.size, dtype=float)
-    ranks[order] = np.arange(1, vals.size + 1)
-    return ranks / vals.size
+    n = vals.size
+    order = np.argsort(vals)  # several times faster than a stable sort, but not stable
+    sorted_vals = vals[order]
+    ties = sorted_vals[1:] == sorted_vals[:-1]
+    if ties.any():
+        # Put each run of equal values back in series order by sorting the keys
+        # run * N + index: unique, and below N^2 < 2^63 while N < 3e9.
+        run = np.concatenate(([0], np.cumsum(~ties))) * n
+        order = np.sort(order + run) - run
+    ranks = np.empty(n)
+    ranks[order] = np.arange(1, n + 1) / n
+    return ranks

@@ -10,9 +10,9 @@ string is built.
 A run writes its files through one ``Bundle``: each file goes to a temp file
 beside its target, and the temp files are renamed into place only once every
 one of them has been written, so a failed run leaves its output directory as
-it found it. ``Bundle.write_in_child`` hands large tables to one forked child
+it found it. ``Bundle.write_in_child`` hands large tables to a forked child
 (``os.fork``, so POSIX only) that formats and writes them while the caller
-goes on computing.
+goes on computing; a run may start several such children.
 """
 
 from __future__ import annotations
@@ -117,12 +117,13 @@ class Bundle:
     """The files of one run in ``outdir``, renamed into place together.
 
     Use it as a context manager. ``write`` writes a file in this process and
-    ``write_in_child`` in one forked child, each to a temp file beside its
-    target. Leaving the block normally waits for the child, checks that no
-    target is a directory, and only then renames the temp files into place,
-    with the mode a plain ``open()`` would give them. On any error or
-    interrupt it kills and reaps the child, unlinks the temp files and removes
-    the directories that it created.
+    each ``write_in_child`` call in a forked child of its own, each file to a
+    temp file beside its target. Leaving the block normally waits for the
+    children in the order they were started, checks that no target is a
+    directory, and only then renames the temp files into place, with the mode
+    a plain ``open()`` would give them. On any error or interrupt it kills and
+    reaps every child, unlinks the temp files and removes the directories that
+    it created.
     """
 
     def __init__(self, outdir) -> None:
@@ -131,8 +132,7 @@ class Bundle:
         self._created = [d for d in (self.outdir, *self.outdir.parents) if not os.path.lexists(d)]
         self._staged: list[tuple[str, Path]] = []  # (temp file, target)
         self._mode = 0o666 & ~_umask()
-        self._pid: int | None = None  # the writer child
-        self._pipe: int | None = None  # read end of the child's error pipe
+        self._children: list[tuple[int, int]] = []  # (pid, read end of its error pipe)
 
     def __enter__(self) -> "Bundle":
         try:
@@ -163,29 +163,34 @@ class Bundle:
         _write(self._stage(name), chunks)
 
     def write_in_child(self, tables: dict[str, Iterable[str]]) -> None:
-        """Write ``{name: chunks}`` in one forked child while the caller goes on.
+        """Write ``{name: chunks}`` in a new forked child while the caller goes on.
 
         The chunks are iterated in the child only, so lazy chunks (the
         ``format_*`` generators) are formatted there. The child must call no
         BLAS, which may hold locks that another thread took before the fork.
         """
         fds = [self._stage(name) for name in tables]
-        self._pipe, write_end = os.pipe()
+        read_end, write_end = os.pipe()
         try:
-            self._pid = os.fork()
-            if self._pid == 0:
+            pid = os.fork()
+            if pid == 0:
                 _write_and_exit(write_end, zip(fds, tables.values()))
+            self._children.append((pid, read_end))
+        except BaseException:
+            os.close(read_end)
+            raise
         finally:  # the parent's copies; the child never gets here
             for fd in (write_end, *fds):
                 os.close(fd)
 
     def _commit(self) -> None:
-        if self._pid is not None:
-            with open(self._pipe, "rb") as pipe:
-                self._pipe = None
-                message = pipe.read().decode("utf-8", "replace")
-            code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-            self._pid = None
+        while self._children:
+            pid, pipe = self._children[0]
+            with open(pipe, "rb", closefd=False) as fh:
+                message = fh.read().decode("utf-8", "replace")
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del self._children[0]
+            os.close(pipe)
             if message or code:
                 raise TableError(message or f"table writer child exited with code {code}")
         for _, target in self._staged:
@@ -196,15 +201,14 @@ class Bundle:
         self._staged.clear()
 
     def _abort(self) -> None:
-        if self._pid is not None:
+        if self._children:
             import signal  # only a failed run needs it, so importing fracrank.cli does not
 
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        if self._pipe is not None:
-            os.close(self._pipe)
-            self._pipe = None
+            for pid, pipe in self._children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(pipe)
+            self._children.clear()
         for tmp, _ in self._staged:
             if os.path.lexists(tmp):
                 os.unlink(tmp)
@@ -242,13 +246,36 @@ def _load_numbers(path: Path, skiprows: int) -> np.ndarray:
                           encoding="utf-8")
 
 
+def _decode_error(path: Path, header: Sequence[str], exc: UnicodeDecodeError) -> str:
+    """``exc`` located in the file: the codec's message for the whole file, whose
+    position is the byte offset in the file, and the data row that holds the byte.
+
+    The readers decode in chunks, so the position in ``exc`` counts from the
+    start of whichever chunk held the byte.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    else:  # the file changed since it was read
+        return str(exc)
+    lines = data[: exc.start].splitlines(keepends=True)
+    done = [line for line in lines if line.endswith((b"\n", b"\r"))]  # the lines before its own
+    row = 1 + sum(1 for line in done if line.strip(b"\r\n"))
+    if done and done[0].decode("utf-8").strip().lower() == ",".join(header).lower():
+        row -= 1
+    return f"{exc} (row {row})"
+
+
 def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list:
     """Read a table back: the first ``text_columns`` columns as tuples of str, the rest
     as float arrays.
 
     The header row may be left out. Blank lines are skipped. Every row must
     have one field per header name, and every number must be finite; errors
-    name the data row (1-based, header and blank lines not counted).
+    name the data row (1-based, header and blank lines not counted), and a
+    byte that is not UTF-8 is also named by its offset in the file.
     """
     path = Path(path)
     width = len(header)
@@ -261,6 +288,8 @@ def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list
                 text, numbers = _parse(fh, width, text_columns)
         if not text_columns:
             text, numbers = [], _load_numbers(path, int(has_header))
+    except UnicodeDecodeError as exc:
+        raise TableError(f"{path.name}: {_decode_error(path, header, exc)}") from exc
     except (csv.Error, ValueError) as exc:
         raise TableError(f"{path.name}: {exc}") from exc
     if numbers.shape[0] == 0:

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,9 @@ def textbook_rs(block):
         return None
     cum = np.cumsum(block - block.mean())
     return (cum.max() - cum.min()) / s
+
+
+def assert_no_child_left():
+    """This process has no child left: every writer child was reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

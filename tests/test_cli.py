@@ -22,7 +22,7 @@ from fracrank.synth import (
 )
 from fracrank.table import write_bundle
 
-from conftest import MICRO_CORPUS, MICRO_F, MICRO_MUTUAL_F_OF_Q, MICRO_Q
+from conftest import MICRO_CORPUS, MICRO_F, MICRO_MUTUAL_F_OF_Q, MICRO_Q, assert_no_child_left
 
 
 @pytest.fixture
@@ -493,11 +493,6 @@ def tree(path: Path) -> dict:
             for p in sorted(path.rglob("*"))}
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestCommit:
     """A run's files are renamed into place together; a failed run leaves --out as it was."""
 
@@ -537,6 +532,28 @@ class TestCommit:
         assert result.exit_code == 1
         assert "dfa failed" in result.output
         assert not (tmp_path / "b").exists()
+        assert_no_child_left()
+
+    def test_bad_grid_fails_after_the_first_writer_child(self, runner, tmp_path, series,
+                                                          monkeypatch):
+        out = tmp_path / "out"
+        run_ok(runner, ["analyze", "--series", str(series), "--out", str(out)])
+        (out / "keep.txt").write_text("untouched")
+        before = tree(out)
+        started = []
+        write_in_child = fracrank.table.Bundle.write_in_child
+
+        def recording(bundle, tables):
+            started.extend(tables)
+            write_in_child(bundle, tables)
+
+        monkeypatch.setattr(fracrank.table.Bundle, "write_in_child", recording)
+        result = runner.invoke(main, ["analyze", "--series", str(series), "--grid", "0",
+                                      "--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "grid_size must be >= 1" in result.output
+        assert started == ["sequence.csv"]  # its child was running when --grid failed
+        assert tree(out) == before
         assert_no_child_left()
 
     def test_failed_run_kills_its_writer_child(self, runner, tmp_path, monkeypatch):

@@ -14,6 +14,18 @@ from fracrank.rankstats import (
 from fracrank.synth import power_law_ranks
 
 
+def stable_cdf_map(values) -> np.ndarray:
+    """The CDF map by one stable argsort: equal values ranked in series order."""
+    x = np.asarray(values, dtype=float)
+    ranks = np.empty(x.size)
+    ranks[np.argsort(x, kind="stable")] = np.arange(1, x.size + 1)
+    return ranks / x.size
+
+
+# Few distinct values, so that hypothesis draws many ties, ±0.0 among them.
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -np.inf])
+
+
 class TestZipfFit:
     def test_exact_exponential(self):
         r = np.arange(1, 1001)
@@ -125,6 +137,23 @@ class TestEmpiricalCdfMap:
 
     def test_ties_break_by_position(self):
         np.testing.assert_array_equal(empirical_cdf_map([2, 1, 2, 1]), [0.75, 0.25, 1.0, 0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(npst.arrays(np.float64, st.integers(min_value=1, max_value=300),
+                       elements=TIED_VALUES | st.floats(allow_nan=False)))
+    def test_same_bits_as_stable_sort(self, x):
+        assert empirical_cdf_map(x).tobytes() == stable_cdf_map(x).tobytes()
+
+    @pytest.mark.parametrize("x", [
+        [7.0], [-0.0], np.full(1000, -2.5), np.tile([0.0, -0.0], 500),
+        np.random.default_rng(1).standard_normal(1 << 16),  # no ties
+        np.random.default_rng(2).integers(0, 5, 1 << 16) * 1.0,
+        np.random.default_rng(3).integers(-500, 500, 1 << 16) * -0.0,  # all ±0.0
+        np.repeat(np.random.default_rng(4).standard_normal(1 << 10), 64),
+    ], ids=["one", "minus_zero", "constant", "signed_zeros", "tie_free", "five_values",
+            "zeros_mixed_sign", "runs"])
+    def test_same_bits_as_stable_sort_at_size(self, x):
+        assert empirical_cdf_map(x).tobytes() == stable_cdf_map(x).tobytes()
 
     @given(npst.arrays(np.float64, st.integers(min_value=1, max_value=200),
                        elements=st.floats(min_value=-1e6, max_value=1e6)))

@@ -1,7 +1,9 @@
+import errno
 import os
 import re
 import stat
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from fracrank.table import (
     read_table,
     write_bundle,
 )
+
+from conftest import assert_no_child_left
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e22, 1.7976931348623157e308, 1 / 3, -2 / 3,
                1.0, 7.0, -12.0, 123456789012.0, 1e-5, 0.1]
@@ -106,6 +110,12 @@ def test_written_mode_follows_umask(tmp_path, umask, mode):
     assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == mode
 
 
+def stuck():
+    """Chunks that never come: a writer child iterating them sleeps until killed."""
+    time.sleep(30)
+    yield "late\n"
+
+
 class TestBundle:
     def test_files_appear_only_at_commit(self, tmp_path):
         x = np.arange(3.0 * CHUNK_ROWS)
@@ -124,8 +134,46 @@ class TestBundle:
                 bundle.write("small.csv", ["x\n"])
                 raise KeyError("stop")
         assert list(tmp_path.iterdir()) == []
-        with pytest.raises(ChildProcessError):  # the child was reaped
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_child_left()
+
+    def test_first_child_error_kills_the_second(self, tmp_path):
+        def failing():
+            raise RuntimeError(f"first writer failed in process {os.getpid()}")
+            yield
+
+        start = time.perf_counter()
+        with pytest.raises(TableError, match=r"^first writer failed in process") as info:
+            with Bundle(tmp_path) as bundle:
+                bundle.write_in_child({"a.csv": failing()})
+                bundle.write_in_child({"b.csv": stuck()})
+                bundle.write("small.csv", ["x\n"])
+        assert int(str(info.value).rsplit(" ", 1)[1]) != os.getpid()  # raised in the child
+        assert time.perf_counter() - start < 10  # the second child was killed, not waited for
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+
+    def test_failed_second_fork_reaps_the_first(self, tmp_path, monkeypatch):
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            if forks:
+                raise OSError(errno.EAGAIN, "fork refused")
+            forks.append(True)
+            return real_fork()
+
+        fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", fork_once)
+        start = time.perf_counter()
+        with pytest.raises(OSError, match="fork refused"):
+            with Bundle(tmp_path / "out") as bundle:
+                bundle.write_in_child({"a.csv": stuck()})
+                bundle.write_in_child({"b.csv": ["b\n"]})
+        assert time.perf_counter() - start < 10
+        assert len(forks) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == fds  # no pipe or temp file left open
 
 
 class TestReader:
@@ -133,6 +181,25 @@ class TestReader:
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
         return path
+
+    @pytest.mark.parametrize("text_columns", [0, 1])
+    def test_non_utf8_byte_named_by_file_offset_and_row(self, tmp_path, text_columns):
+        # Far past the first chunk that the reader decodes; data row r holds r - 1.
+        n, row = 1 << 17, 100_000
+        values = np.arange(n, dtype=float)
+        header = ("id", "v") if text_columns else ("value",)
+        columns = ([tuple(f"d{i}" for i in range(n))] if text_columns else []) + [values]
+        write_bundle(tmp_path, {"t.csv": format_table(header, columns)})
+        path = tmp_path / "t.csv"
+        data = path.read_bytes()
+        data = data.replace(b"\n", b"\n\n\r\n", 1)  # blank lines after the header: not rows
+        line = b"\nd%d," % (row - 1) if text_columns else b"\n%d\n" % (row - 1)
+        offset = data.index(line) + 1
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+        with pytest.raises(TableError) as info:
+            read_table(path, header, text_columns)
+        assert str(info.value) == (f"t.csv: 'utf-8' codec can't decode byte 0xff in position "
+                                   f"{offset}: invalid start byte (row {row})")
 
     def test_header_optional_case_insensitive_blank_lines(self, tmp_path):
         for text in ("VALUE\n1\n\n2\n", "1\n2", "value\r\n1\r\n2\r\n"):
