@@ -12,10 +12,7 @@ its own (POSIX only) as soon as the table's data exists: ``sequence.csv`` once
 the input is read, ``poincare.csv`` once the return map and ``--grid`` have
 been checked. It runs the estimators meanwhile, so both CPUs of a 2-vCPU
 machine stay busy: at 2^20 values the two tables take about 1.3 s to format
-and write, DFA and R/S about 0.6 s. On that machine (python 3.11.7, numpy
-2.4.6) starting the first child before the CDF map took the benchmark's
-``fgn-long`` ``analyze_s`` from 1.115 to 0.890 s (median of 10 alternating
-pairs) against one child for both tables. Tables use the one CSV dialect of
+and write, DFA and R/S about 0.6 s. Tables use the one CSV dialect of
 ``fracrank.table`` and JSON rejects non-finite numbers.
 """
 
@@ -136,13 +133,13 @@ def run_analyze(options: dict, outdir: Path) -> None:
     with Bundle(outdir) as bundle:
         # Each large table is formatted and written by a child of its own,
         # started as soon as its data exists.
-        bundle.write_in_child({"sequence.csv": write_series_csv(values)})
+        bundle.write_in_child("sequence.csv", write_series_csv(values))
         # The return map comes before the estimators, so a bad --grid fails
         # before they run. It needs coordinates in [0,1]; rank-map anything else.
         cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
         pts = poincare_map(empirical_cdf_map(values) if cdf_mapped else values)
         occ = occupancy_stats(pts, options["grid"])
-        bundle.write_in_child({"poincare.csv": pts.to_csv()})
+        bundle.write_in_child("poincare.csv", pts.to_csv())
         curve = _estimate("dfa", dfa, values, options["dfa_windows"])
         hres = _estimate("hurst_regression", hurst_regression, values, options["rs_windows"])
         points, _ = hurst_pointwise(values)

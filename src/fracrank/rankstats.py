@@ -39,13 +39,13 @@ class ZipfFit:
 
 @dataclass(frozen=True)
 class PoincarePoints:
-    """Lag-1 return map: points (x_i, x_{i+1}) in series order."""
+    """Lag-1 return map held as its sequence: point i is ``(values[i], values[i+1])``."""
 
-    points: np.ndarray  # shape (N-1, 2)
+    values: np.ndarray  # shape (N,)
 
     def to_csv(self) -> Iterator[str]:
         """poincare.csv as text chunks; each value of the sequence is formatted once."""
-        return format_pairs(("x", "y"), np.append(self.points[:, 0], self.points[-1, 1]))
+        return format_pairs(("x", "y"), self.values)
 
 
 @dataclass(frozen=True)
@@ -95,36 +95,35 @@ def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
 
 
 def poincare_map(sequence) -> PoincarePoints:
-    """All N-1 consecutive pairs (x_i, x_{i+1}) of the sequence."""
+    """The return map of all N-1 consecutive pairs (x_i, x_{i+1}) of the sequence."""
     vals = np.asarray(sequence, dtype=float)
     if vals.size < 2:
         raise RankStatsError("poincare_map needs at least 2 values")
-    return PoincarePoints(points=np.column_stack([vals[:-1], vals[1:]]))
+    return PoincarePoints(values=vals)
 
 
 def occupancy_stats(points: PoincarePoints, grid_size: int) -> OccupancyReport:
     """Bin return-map points into a G x G grid and compare counts to uniform.
 
-    A coordinate v lands in cell ceil(v*G), clamped to [1, G]; chi2_uniform is
-    the chi-square statistic of the G^2 cell counts against the uniform
-    expectation P / G^2. G^2 may not exceed ``MAX_GRID_CELLS``, and every
-    coordinate must lie in [0, 1].
+    A value v has the cell index ceil(v*G), clamped to [1, G], computed once per
+    value, and point i lands in cell (cell_i, cell_{i+1}); chi2_uniform is the
+    chi-square statistic of the G^2 cell counts against the uniform expectation
+    P / G^2. G^2 may not exceed ``MAX_GRID_CELLS``; every value must lie in [0, 1].
     """
     if grid_size < 1:
         raise RankStatsError("grid_size must be >= 1")
     if grid_size**2 > MAX_GRID_CELLS:
         raise RankStatsError(f"grid_size^2 must be <= {MAX_GRID_CELLS} cells")
-    pts = points.points
-    if pts.shape[0] < 1:
+    vals = points.values
+    if vals.size < 2:
         raise RankStatsError("need at least one point")
-    if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # also false for NaN
+    if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # also false for NaN
         raise RankStatsError("coordinates must lie in [0, 1]")
     g = grid_size
-    ix = np.clip(np.ceil(pts[:, 0] * g).astype(int), 1, g) - 1
-    iy = np.clip(np.ceil(pts[:, 1] * g).astype(int), 1, g) - 1
-    counts = np.bincount(ix * g + iy, minlength=g * g)
+    cell = np.clip(np.ceil(vals * g).astype(int), 1, g) - 1
+    counts = np.bincount(cell[:-1] * g + cell[1:], minlength=g * g)
     occupied = int(np.count_nonzero(counts))
-    expected = pts.shape[0] / (g * g)
+    expected = (vals.size - 1) / (g * g)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     return OccupancyReport(
         occupied_cells=occupied,

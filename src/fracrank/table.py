@@ -10,9 +10,9 @@ string is built.
 A run writes its files through one ``Bundle``: each file goes to a temp file
 beside its target, and the temp files are renamed into place only once every
 one of them has been written, so a failed run leaves its output directory as
-it found it. ``Bundle.write_in_child`` hands large tables to a forked child
-(``os.fork``, so POSIX only) that formats and writes them while the caller
-goes on computing; a run may start several such children.
+it found it. ``Bundle.write_in_child`` hands a large table to a forked child
+(``os.fork``, so POSIX only) that formats and writes it while the caller
+goes on computing; a run may start one such child per table.
 """
 
 from __future__ import annotations
@@ -96,16 +96,15 @@ def _write(fd: int, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def _write_and_exit(pipe: int, files) -> NoReturn:
-    """The writer child: write each ``(fd, chunks)``, send any error text down ``pipe``, exit.
+def _write_and_exit(pipe: int, fd: int, chunks: Iterable[str]) -> NoReturn:
+    """The writer child: write ``chunks`` to ``fd``, send any error text down ``pipe``, exit.
 
     ``os._exit`` ends the child without running the caller's cleanup or
     flushing its buffers; the caller reads the pipe and the exit code.
     """
     status = 1
     try:
-        for fd, chunks in files:
-            _write(fd, chunks)
+        _write(fd, chunks)
         status = 0
     except BaseException as exc:  # the child's top level: an interrupt is reported too
         os.write(pipe, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
@@ -162,26 +161,27 @@ class Bundle:
         """Write text chunks to the temp file of ``outdir / name``."""
         _write(self._stage(name), chunks)
 
-    def write_in_child(self, tables: dict[str, Iterable[str]]) -> None:
-        """Write ``{name: chunks}`` in a new forked child while the caller goes on.
+    def write_in_child(self, name: str, chunks: Iterable[str]) -> None:
+        """Write text chunks to the temp file of ``outdir / name`` in a new forked child.
 
-        The chunks are iterated in the child only, so lazy chunks (the
-        ``format_*`` generators) are formatted there. The child must call no
-        BLAS, which may hold locks that another thread took before the fork.
+        The caller goes on meanwhile. The chunks are iterated in the child
+        only, so lazy chunks (the ``format_*`` generators) are formatted there.
+        The child must call no BLAS, which may hold locks that another thread
+        took before the fork.
         """
-        fds = [self._stage(name) for name in tables]
+        fd = self._stage(name)
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
             if pid == 0:
-                _write_and_exit(write_end, zip(fds, tables.values()))
+                _write_and_exit(write_end, fd, chunks)
             self._children.append((pid, read_end))
         except BaseException:
             os.close(read_end)
             raise
         finally:  # the parent's copies; the child never gets here
-            for fd in (write_end, *fds):
-                os.close(fd)
+            os.close(write_end)
+            os.close(fd)
 
     def _commit(self) -> None:
         while self._children:

@@ -534,26 +534,51 @@ class TestCommit:
         assert not (tmp_path / "b").exists()
         assert_no_child_left()
 
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The name of each table handed to a writer child, in the order of the forks."""
+        names = []
+        write_in_child = fracrank.table.Bundle.write_in_child
+
+        def recording(bundle, name, chunks):
+            names.append(name)
+            write_in_child(bundle, name, chunks)
+
+        monkeypatch.setattr(fracrank.table.Bundle, "write_in_child", recording)
+        return names
+
     def test_bad_grid_fails_after_the_first_writer_child(self, runner, tmp_path, series,
-                                                          monkeypatch):
+                                                          started):
         out = tmp_path / "out"
         run_ok(runner, ["analyze", "--series", str(series), "--out", str(out)])
         (out / "keep.txt").write_text("untouched")
         before = tree(out)
-        started = []
-        write_in_child = fracrank.table.Bundle.write_in_child
-
-        def recording(bundle, tables):
-            started.extend(tables)
-            write_in_child(bundle, tables)
-
-        monkeypatch.setattr(fracrank.table.Bundle, "write_in_child", recording)
+        started.clear()
         result = runner.invoke(main, ["analyze", "--series", str(series), "--grid", "0",
                                       "--out", str(out)], catch_exceptions=False)
         assert result.exit_code == 1
         assert "grid_size must be >= 1" in result.output
         assert started == ["sequence.csv"]  # its child was running when --grid failed
         assert tree(out) == before
+        assert_no_child_left()
+
+    def test_one_value_series_fails_after_the_first_writer_child(self, runner, tmp_path, series,
+                                                                 started):
+        out = tmp_path / "out"
+        run_ok(runner, ["analyze", "--series", str(series), "--out", str(out)])
+        (out / "keep.txt").write_text("untouched")
+        before = tree(out)
+        started.clear()
+        one = write_series(tmp_path / "one.csv", [0.5])
+        fresh = tmp_path / "fresh" / "out"
+        for target in (out, fresh):
+            result = runner.invoke(main, ["analyze", "--series", str(one), "--out", str(target)],
+                                   catch_exceptions=False)
+            assert result.exit_code == 1
+            assert "Error: poincare_map needs at least 2 values" in result.output
+        assert started == ["sequence.csv", "sequence.csv"]  # a child ran in each failed run
+        assert tree(out) == before
+        assert not (tmp_path / "fresh").exists()
         assert_no_child_left()
 
     def test_failed_run_kills_its_writer_child(self, runner, tmp_path, monkeypatch):

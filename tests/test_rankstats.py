@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -20,6 +22,46 @@ def stable_cdf_map(values) -> np.ndarray:
     ranks = np.empty(x.size)
     ranks[np.argsort(x, kind="stable")] = np.arange(1, x.size + 1)
     return ranks / x.size
+
+
+def pairs(pmap) -> np.ndarray:
+    """The points (values[i], values[i+1]) of a return map, one row each."""
+    return np.column_stack([pmap.values[:-1], pmap.values[1:]])
+
+
+def chi2_of(counts, n_points: int, g: int) -> float:
+    """chi2_uniform of G^2 cell counts, by the formula occupancy_stats documents."""
+    expected = n_points / (g * g)
+    return float(((np.asarray(counts) - expected) ** 2 / expected).sum())
+
+
+def loop_counts(values, g: int) -> list[int]:
+    """Cell counts by a loop over the points: v lands in ceil(v*G), clamped to [1, G]."""
+    counts = [0] * (g * g)
+    for x, y in zip(values[:-1], values[1:]):
+        ix = min(max(math.ceil(float(x) * g), 1), g) - 1
+        iy = min(max(math.ceil(float(y) * g), 1), g) - 1
+        counts[ix * g + iy] += 1
+    return counts
+
+
+def column_stack_counts(values, g: int) -> np.ndarray:
+    """Cell counts as an (N-1) x 2 point array binned column by column."""
+    pts = np.column_stack([values[:-1], values[1:]])
+    ix = np.clip(np.ceil(pts[:, 0] * g).astype(int), 1, g) - 1
+    iy = np.clip(np.ceil(pts[:, 1] * g).astype(int), 1, g) - 1
+    return np.bincount(ix * g + iy, minlength=g * g)
+
+
+@st.composite
+def unit_sequences(draw):
+    """A grid size and a sequence in [0, 1] rich in 0.0, 1.0 and exact cell edges k/G."""
+    g = draw(st.sampled_from([1, 2, 3, 7, 32, 64]))
+    element = (st.sampled_from([0.0, -0.0, 1.0]) | st.integers(0, g).map(lambda k: k / g)
+               | st.floats(min_value=0.0, max_value=1.0))
+    values = draw(st.lists(element, min_size=2, max_size=200)
+                  | st.tuples(element, st.integers(2, 50)).map(lambda t: [t[0]] * t[1]))
+    return np.array(values), g
 
 
 # Few distinct values, so that hypothesis draws many ties, ±0.0 among them.
@@ -83,15 +125,15 @@ class TestZipfFit:
 
 class TestPoincareMap:
     def test_definition(self):
-        pts = poincare_map([0.2, 0.5, 0.9]).points
+        pts = pairs(poincare_map([0.2, 0.5, 0.9]))
         np.testing.assert_allclose(pts, [[0.2, 0.5], [0.5, 0.9]])
 
     def test_constant(self):
-        pts = poincare_map([0.3] * 5).points
+        pts = pairs(poincare_map([0.3] * 5))
         assert np.all(pts == 0.3)
 
     def test_micro_mutual_sequence(self):
-        pts = poincare_map([0.75, 1.0, 0.25]).points
+        pts = pairs(poincare_map([0.75, 1.0, 0.25]))
         np.testing.assert_allclose(pts, [[0.75, 1.0], [1.0, 0.25]])
 
     def test_too_short(self):
@@ -101,9 +143,8 @@ class TestPoincareMap:
     @given(npst.arrays(np.float64, st.integers(min_value=2, max_value=100),
                        elements=st.floats(min_value=0, max_value=1)))
     def test_chaining(self, values):
-        pts = poincare_map(values).points
-        assert pts.shape[0] == values.size - 1
-        np.testing.assert_array_equal(pts[1:, 0], pts[:-1, 1])
+        # The map holds the sequence itself, so consecutive points chain.
+        np.testing.assert_array_equal(poincare_map(values).values, values)
 
 
 class TestOccupancy:
@@ -127,6 +168,19 @@ class TestOccupancy:
     def test_boundary_values_clamped(self):
         report = occupancy_stats(poincare_map([0.0, 1.0, 0.0]), 4)
         assert report.occupied_cells >= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_sequences())
+    @example((np.array([0.0, 1.0]), 1))
+    @example((np.array([0.5, 0.5]), 2))
+    @example((np.full(9, 1 / 3), 3))
+    @example((np.array([k / 7 for k in range(8)] * 3), 7))
+    def test_equals_loop_and_column_stack_references(self, case):
+        values, g = case
+        report = occupancy_stats(poincare_map(values), g)
+        for counts in (loop_counts(values, g), column_stack_counts(values, g)):
+            assert report.occupied_cells == np.count_nonzero(counts)
+            assert report.chi2_uniform == chi2_of(counts, values.size - 1, g)
 
 
 class TestEmpiricalCdfMap:

@@ -102,7 +102,7 @@ def test_written_mode_follows_umask(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         with Bundle(tmp_path) as bundle:
-            bundle.write_in_child({"t.csv": ["x\n"]})
+            bundle.write_in_child("t.csv", ["x\n"])
             bundle.write("new.csv", ["x\n"])
     finally:
         os.umask(old)
@@ -120,7 +120,8 @@ class TestBundle:
     def test_files_appear_only_at_commit(self, tmp_path):
         x = np.arange(3.0 * CHUNK_ROWS)
         with Bundle(tmp_path) as bundle:
-            bundle.write_in_child({"big.csv": format_table(("value",), [x]), "p.csv": ["p\n"]})
+            bundle.write_in_child("big.csv", format_table(("value",), [x]))
+            bundle.write_in_child("p.csv", ["p\n"])
             bundle.write("small.csv", ["small\n"])
             assert all(p.name.startswith(".") for p in tmp_path.iterdir())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "p.csv", "small.csv"]
@@ -130,7 +131,7 @@ class TestBundle:
     def test_error_removes_what_it_made(self, tmp_path):
         with pytest.raises(KeyError, match="stop"):
             with Bundle(tmp_path / "a" / "b") as bundle:
-                bundle.write_in_child({"big.csv": format_table(("value",), [np.zeros(CHUNK_ROWS)])})
+                bundle.write_in_child("big.csv", format_table(("value",), [np.zeros(CHUNK_ROWS)]))
                 bundle.write("small.csv", ["x\n"])
                 raise KeyError("stop")
         assert list(tmp_path.iterdir()) == []
@@ -144,8 +145,8 @@ class TestBundle:
         start = time.perf_counter()
         with pytest.raises(TableError, match=r"^first writer failed in process") as info:
             with Bundle(tmp_path) as bundle:
-                bundle.write_in_child({"a.csv": failing()})
-                bundle.write_in_child({"b.csv": stuck()})
+                bundle.write_in_child("a.csv", failing())
+                bundle.write_in_child("b.csv", stuck())
                 bundle.write("small.csv", ["x\n"])
         assert int(str(info.value).rsplit(" ", 1)[1]) != os.getpid()  # raised in the child
         assert time.perf_counter() - start < 10  # the second child was killed, not waited for
@@ -167,8 +168,8 @@ class TestBundle:
         start = time.perf_counter()
         with pytest.raises(OSError, match="fork refused"):
             with Bundle(tmp_path / "out") as bundle:
-                bundle.write_in_child({"a.csv": stuck()})
-                bundle.write_in_child({"b.csv": ["b\n"]})
+                bundle.write_in_child("a.csv", stuck())
+                bundle.write_in_child("b.csv", ["b\n"])
         assert time.perf_counter() - start < 10
         assert len(forks) == 1
         assert list(tmp_path.iterdir()) == []
