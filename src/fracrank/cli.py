@@ -9,16 +9,17 @@ each to a temp file beside its target, all renamed into place only once every
 one is written, so a failed or interrupted run leaves ``--out`` as it was.
 ``analyze`` hands each of its two large tables to a forked writer child of
 its own (POSIX only) as soon as the table's data exists: ``sequence.csv`` once
-the input is read, ``poincare.csv`` once the return map and ``--grid`` have
-been checked. It runs the estimators meanwhile, so both CPUs of a 2-vCPU
-machine stay busy: at 2^20 values the two tables take about 1.3 s to format
-and write, DFA and R/S about 0.6 s. Tables use the one CSV dialect of
-``fracrank.table`` and JSON rejects non-finite numbers.
+the input is read, ``poincare.csv`` once the return map is built. It runs the
+estimators meanwhile, so both CPUs of a 2-vCPU machine stay busy: at 2^20
+values the two tables take about 1.3 s to format and write, DFA and R/S about
+0.6 s. Tables use the one CSV dialect of ``fracrank.table`` and JSON rejects
+non-finite numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import click
@@ -32,6 +33,7 @@ from fracrank.fractal import (
     hurst_regression,
 )
 from fracrank.rankstats import (
+    MAX_GRID_CELLS,
     MAX_TRIM,
     RankStatsError,
     empirical_cdf_map,
@@ -87,6 +89,10 @@ def _json(record: dict, indent: int | None = None) -> str:
 
 
 def _manifest(command: str, options: dict) -> str:
+    """The run's manifest; a non-finite option is a usage error naming ``--<key>``."""
+    for key, value in options.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise click.BadParameter(f"{value} is not a finite number", param_hint=f"'--{key}'")
     return _json({"command": command, "config": options}, indent=2)
 
 
@@ -127,15 +133,13 @@ def _estimate(name: str, estimator, values: np.ndarray, windows):
 
 def run_analyze(options: dict, outdir: Path) -> None:
     manifest = _manifest("analyze", options)  # rejects a non-finite option before any work
-    if not 0.0 <= options["trim"] <= MAX_TRIM:
-        raise click.UsageError(f"--trim must be in [0, {MAX_TRIM}]")
     values = _load_sequence(options)
     with Bundle(outdir) as bundle:
         # Each large table is formatted and written by a child of its own,
         # started as soon as its data exists.
         bundle.write_in_child("sequence.csv", write_series_csv(values))
-        # The return map comes before the estimators, so a bad --grid fails
-        # before they run. It needs coordinates in [0,1]; rank-map anything else.
+        # The return map comes before the estimators, so that the poincare.csv
+        # child starts early. It needs coordinates in [0,1]; rank-map anything else.
         cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
         pts = poincare_map(empirical_cdf_map(values) if cdf_mapped else values)
         occ = occupancy_stats(pts, options["grid"])
@@ -174,21 +178,15 @@ def run_analyze(options: dict, outdir: Path) -> None:
 
 
 def run_synth(options: dict, outdir: Path) -> None:
-    if options["kind"] not in _KINDS:
-        raise click.UsageError(f"unknown generator kind {options['kind']!r}")
+    manifest = _manifest("synth", options)  # rejects a non-finite option before any work
     name, required, generate = _KINDS[options["kind"]]
     if any(options[option] is None for option in required):
         flags = " and ".join(f"--{option}" for option in required)
         raise click.UsageError(f"--kind {name} requires {flags}")
-    if options["length"] < 2:
-        raise click.UsageError("length must be >= 2")
-    if not 0 <= options["seed"] < 2**64:
-        raise click.UsageError("seed must be an unsigned 64-bit integer")
     try:
         values = generate(options)
     except SynthError as exc:
         raise click.UsageError(str(exc)) from exc
-    manifest = _manifest("synth", options)
     write_bundle(outdir, {"series.csv": write_series_csv(values), "manifest.json": [manifest]})
 
 
@@ -261,8 +259,9 @@ def score(out, **options):
 @click.option("--series", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ranked-by", type=click.Choice(["f", "q"]), default="q", show_default=True)
 @click.option("--read-off", type=click.Choice(["f", "q"]), default="f", show_default=True)
-@click.option("--trim", type=float, default=0.05, show_default=True)
-@click.option("--grid", type=int, default=32, show_default=True)
+@click.option("--trim", type=click.FloatRange(0.0, MAX_TRIM), default=0.05, show_default=True)
+@click.option("--grid", type=click.IntRange(1, math.isqrt(MAX_GRID_CELLS)), default=32,
+              show_default=True)
 @click.option("--include-zero-scores", is_flag=True)
 @click.option("--dfa-windows", callback=_windows, help="Comma-separated DFA window sizes.")
 @click.option("--rs-windows", callback=_windows, help="Comma-separated R/S block sizes.")
@@ -273,9 +272,9 @@ def analyze(out, **options):
 
 
 @main.command()
-@click.option("--kind", required=True, help="white | fgn | linear | power (long names accepted).")
-@click.option("--len", "length", required=True, type=int)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--kind", required=True, type=click.Choice(list(_KINDS)))
+@click.option("--len", "length", required=True, type=click.IntRange(min=2))
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
 @click.option("--h", type=float, help="Target Hurst index for fgn.")
 @click.option("--beta", type=float, help="Power-law exponent.")
 @click.option("--noise", type=float, default=0.0, show_default=True)

@@ -57,7 +57,7 @@ class OccupancyReport:
     chi2_uniform: float
 
 
-def zipf_fit(sequence, trim_fraction: float = 0.05) -> ZipfFit:
+def zipf_fit(sequence, trim_fraction: float) -> ZipfFit:
     """Fit ln(value) against rank and against ln(rank) after trimming both ends.
 
     The sequence must be sorted non-increasing; floor(trim_fraction * N) ranks

@@ -103,7 +103,7 @@ def mutual_sequence(
     table: RelevanceTable,
     ranked_by: Measure,
     read_off: Measure,
-    include_zero_scores: bool = True,
+    include_zero_scores: bool,
 ) -> np.ndarray:
     """Values of ``read_off`` read in the rank order induced by ``ranked_by``.
 

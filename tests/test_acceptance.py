@@ -80,7 +80,7 @@ def test_micro_corpus_golden():
 
     corpus = ingest_jsonl_path(MICRO_CORPUS)
     table = score_corpus(corpus, Query(("alpha", "beta")))
-    seq = mutual_sequence(table, Measure.Q, Measure.F)
+    seq = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=True)
 
     ok = (
         np.allclose(table.f, f_expected, atol=1e-9)
@@ -140,7 +140,7 @@ def test_zipf_exactness_and_recovery():
         and abs(pow_fit.loglog_r2 - 1.0) <= 1e-9
         and abs(pow_fit.loglog_slope + 0.8) <= 1e-9
     )
-    slopes = [zipf_fit(power_law_ranks(1000, 1.0, 0.01, s)).loglog_slope
+    slopes = [zipf_fit(power_law_ranks(1000, 1.0, 0.01, s), trim_fraction=0.05).loglog_slope
               for s in range(N_SEEDS)]
     mean_slope = float(np.mean(slopes))
     ok &= abs(mean_slope + 1.0) <= 0.05

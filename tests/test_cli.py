@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import time
@@ -106,10 +107,12 @@ DROP = object()
 BROKEN_MANIFEST_FIELDS = {
     "wrong_type": ("synth", "length", "x",
                    "Invalid value for '--len': 'x' is not a valid integer"),
-    "unknown_kind": ("synth", "kind", "pink", "unknown generator kind 'pink'"),
-    "short_length": ("synth", "length", 1, "length must be >= 2"),
+    "unknown_kind": ("synth", "kind", "pink", "Invalid value for '--kind': 'pink' is not one of"),
+    "short_length": ("synth", "length", 1,
+                     "Invalid value for '--len': 1 is not in the range x>=2."),
     "no_kind": ("synth", "kind", DROP, "Missing option '--kind'."),
-    "trim_out_of_range": ("analyze", "trim", 2.0, "--trim must be in [0, 0.25]"),
+    "trim_out_of_range": ("analyze", "trim", 2.0,
+                          "Invalid value for '--trim': 2.0 is not in the range 0.0<=x<=0.25."),
     # int() would silently truncate 4.7 and read true as 1.
     "float_windows": ("analyze", "dfa_windows", [4.7, 8.9, 16, 32],
                       "Invalid value for '--dfa-windows': bad window list '4.7,8.9,16,32'"),
@@ -294,7 +297,8 @@ class TestAnalyze:
         (out / "keep.txt").write_text("untouched")
         result = runner.invoke(main, ["analyze", "--series", str(sdir / "series.csv"),
                                       "--out", str(out)] + extra, catch_exceptions=False)
-        assert result.exit_code == 1
+        # A non-finite --trim is a usage error; the other runs fail in the estimators.
+        assert result.exit_code == (2 if extra[:1] == ["--trim"] else 1)
         assert "Traceback" not in result.output
         assert read_dir(out) == {"keep.txt": b"untouched"}
 
@@ -346,7 +350,8 @@ class TestAnalyze:
                                       "--trim", trim, "--out", str(tmp_path / "a")],
                                catch_exceptions=False)
         assert result.exit_code == 2
-        assert "--trim must be in [0, 0.25]" in result.output
+        assert f"Error: Invalid value for '--trim': {float(trim)} is not in the range " \
+               "0.0<=x<=0.25." in result.output
         assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("trim", ["0", "0.25"])
@@ -384,7 +389,7 @@ class TestAnalyze:
 
     def test_grid_bound(self, runner, tmp_path):
         # G = 10^5 would be 10^10 cell counts; it is rejected before any allocation,
-        # and before the estimators run: the DFA windows are bad too.
+        # and before the input is read: the DFA windows are bad too.
         sdir = tmp_path / "s"
         run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
                         "--out", str(sdir)])
@@ -392,8 +397,9 @@ class TestAnalyze:
                                       "--grid", "100000", "--dfa-windows", "4,4,4,4",
                                       "--out", str(tmp_path / "a")],
                                catch_exceptions=False)
-        assert result.exit_code == 1
-        assert "grid_size^2 must be <= 16777216 cells" in result.output
+        assert result.exit_code == 2
+        assert "Error: Invalid value for '--grid': 100000 is not in the range 1<=x<=4096." \
+            in result.output
         assert "dfa failed" not in result.output
         assert not (tmp_path / "a").exists()
 
@@ -430,8 +436,8 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--kind", "linear", "--slope", "nan",
                                       "--intercept", "0", "--len", "8",
                                       "--out", str(tmp_path / "o")], catch_exceptions=False)
-        assert result.exit_code == 1
-        assert "non-finite value in JSON output" in result.output
+        assert result.exit_code == 2
+        assert "Error: Invalid value for '--slope': nan is not a finite number" in result.output
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind, options, generator", SYNTH_KINDS,
@@ -450,12 +456,11 @@ class TestSynth:
          "--kind linear requires --slope and --intercept"),
         (["--kind", "linear_trend", "--len", "8", "--slope", "1"],
          "--kind linear requires --slope and --intercept"),
-        (["--kind", "white", "--len", "64", "--seed", "-1"],
-         "seed must be an unsigned 64-bit integer"),
-        (["--kind", "white", "--len", "64", "--seed", str(2**64)],
-         "seed must be an unsigned 64-bit integer"),
-        (["--kind", "white", "--len", "1"], "length must be >= 2"),
-        (["--kind", "fgn", "--h", "0.7", "--len", "1"], "length must be >= 2"),
+        # TestOptionValues checks the range that each of these messages shows.
+        (["--kind", "white", "--len", "64", "--seed", "-1"], "Invalid value for '--seed'"),
+        (["--kind", "white", "--len", "64", "--seed", str(2**64)], "Invalid value for '--seed'"),
+        (["--kind", "white", "--len", "1"], "Invalid value for '--len'"),
+        (["--kind", "fgn", "--h", "0.7", "--len", "1"], "Invalid value for '--len'"),
     ])
     def test_usage_errors(self, runner, tmp_path, args, message):
         result = runner.invoke(main, ["synth"] + args + ["--out", str(tmp_path / "o")],
@@ -468,7 +473,8 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--kind", "pink", "--len", "64",
                                       "--out", str(tmp_path / "o")], catch_exceptions=False)
         assert result.exit_code == 2
-        assert "Error: unknown generator kind 'pink'" in result.output
+        assert "Error: Invalid value for '--kind': 'pink' is not one of 'white', 'white_noise', " \
+               "'fgn', 'linear', 'linear_trend', 'power', 'power_law_ranks'." in result.output
         assert not (tmp_path / "o").exists()
 
     def test_linear_trend_dispatch(self, runner, tmp_path):
@@ -491,6 +497,94 @@ def tree(path: Path) -> dict:
     """Every file and directory under ``path``, temp files too, with each file's bytes."""
     return {p.relative_to(path).as_posix(): p.read_bytes() if p.is_file() else None
             for p in sorted(path.rglob("*"))}
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The name of each table handed to a writer child, in the order of the forks."""
+    names = []
+    write_in_child = fracrank.table.Bundle.write_in_child
+
+    def recording(bundle, name, chunks):
+        names.append(name)
+        write_in_child(bundle, name, chunks)
+
+    monkeypatch.setattr(fracrank.table.Bundle, "write_in_child", recording)
+    return names
+
+
+# One value outside each declared option range: (command, option, value). The
+# command line gives the value as str(value), a manifest as a JSON value.
+OUT_OF_RANGE = [
+    ("analyze", "--grid", 0), ("analyze", "--grid", 4097),
+    ("analyze", "--trim", -0.01), ("analyze", "--trim", 0.26), ("analyze", "--trim", math.inf),
+    ("synth", "--len", 1), ("synth", "--seed", -1), ("synth", "--seed", 2**64),
+    ("synth", "--kind", "pink"),
+]
+NON_FINITE = [("analyze", "--trim", math.nan), ("synth", "--h", math.inf),
+              ("synth", "--slope", math.nan)]
+
+
+def case_ids(cases):
+    return [f"{command} {option}={value}" for command, option, value in cases]
+
+
+class TestOptionValues:
+    """A bad option value exits 2 naming its option, before any input is read or made."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch, started):
+        """The writer children started; reading the input or generating a series fails."""
+        def forbidden(*args):
+            pytest.fail("the input was read or a series generated")
+
+        for name in ("read_series_csv", "white_noise", "fgn", "linear_trend", "power_law_ranks"):
+            monkeypatch.setattr(f"fracrank.cli.{name}", forbidden)
+        return started
+
+    def assert_rejected(self, runner, tmp_path, no_work, command, option, value, reason):
+        series = write_series(tmp_path / "series.csv", white_noise(256, 1))
+        valid = {"analyze": {"--series": str(series)},
+                 "synth": {"--kind": "linear", "--slope": 1, "--intercept": 0, "--len": 64}}
+        options = {**valid[command], option: value}
+        out = tmp_path / "out"
+        args = [command] + [text for o, v in options.items() for text in (o, str(v))]
+        result = runner.invoke(main, args + ["--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 2
+        assert f"Error: Invalid value for '{option}': {reason}" in result.output
+        # The same value as a manifest field is a bad manifest.
+        names = {param.opts[0]: param.name for param in main.commands[command].params}
+        config = {names[o]: v for o, v in options.items()}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": command, "config": config}))
+        result = runner.invoke(main, ["rerun", str(manifest), "--out", str(out)],
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        assert f"Error: bad manifest config: Invalid value for '{option}': {reason}" \
+            in result.output
+        assert no_work == []
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command, option, value", OUT_OF_RANGE, ids=case_ids(OUT_OF_RANGE))
+    def test_out_of_range_is_usage_error(self, runner, tmp_path, no_work, command, option, value):
+        reason = (f"'{value}' is not one of" if option == "--kind"
+                  else f"{value} is not in the range")
+        self.assert_rejected(runner, tmp_path, no_work, command, option, value, reason)
+
+    @pytest.mark.parametrize("command, option, value", NON_FINITE, ids=case_ids(NON_FINITE))
+    def test_non_finite_is_usage_error(self, runner, tmp_path, no_work, command, option, value):
+        self.assert_rejected(runner, tmp_path, no_work, command, option, value,
+                             f"{value} is not a finite number")
+
+    def test_help_shows_each_range(self, runner):
+        analyze = run_ok(runner, ["analyze", "--help"]).output
+        assert "[default: 0.05; 0.0<=x<=0.25]" in analyze
+        assert "[default: 32; 1<=x<=4096]" in analyze
+        synth = run_ok(runner, ["synth", "--help"]).output
+        assert "[white|white_noise|fgn|linear|linear_trend|power|power_law_ranks]" in synth
+        assert "[x>=2; required]" in synth
+        assert f"[default: 0; 0<=x<={2**64 - 1}]" in synth
 
 
 class TestCommit:
@@ -534,32 +628,21 @@ class TestCommit:
         assert not (tmp_path / "b").exists()
         assert_no_child_left()
 
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """The name of each table handed to a writer child, in the order of the forks."""
-        names = []
-        write_in_child = fracrank.table.Bundle.write_in_child
-
-        def recording(bundle, name, chunks):
-            names.append(name)
-            write_in_child(bundle, name, chunks)
-
-        monkeypatch.setattr(fracrank.table.Bundle, "write_in_child", recording)
-        return names
-
-    def test_bad_grid_fails_after_the_first_writer_child(self, runner, tmp_path, series,
-                                                          started):
+    def test_bad_grid_starts_no_writer_child(self, runner, tmp_path, series, started):
         out = tmp_path / "out"
         run_ok(runner, ["analyze", "--series", str(series), "--out", str(out)])
         (out / "keep.txt").write_text("untouched")
         before = tree(out)
         started.clear()
-        result = runner.invoke(main, ["analyze", "--series", str(series), "--grid", "0",
-                                      "--out", str(out)], catch_exceptions=False)
-        assert result.exit_code == 1
-        assert "grid_size must be >= 1" in result.output
-        assert started == ["sequence.csv"]  # its child was running when --grid failed
+        fresh = tmp_path / "fresh" / "out"
+        for target in (out, fresh):
+            result = runner.invoke(main, ["analyze", "--series", str(series), "--grid", "0",
+                                          "--out", str(target)], catch_exceptions=False)
+            assert result.exit_code == 2
+            assert "Error: Invalid value for '--grid': 0 is not in the range" in result.output
+        assert started == []
         assert tree(out) == before
+        assert not (tmp_path / "fresh").exists()
         assert_no_child_left()
 
     def test_one_value_series_fails_after_the_first_writer_child(self, runner, tmp_path, series,

@@ -83,7 +83,8 @@ class TestZipfFit:
 
     def test_noisy_power_law_recovery(self):
         slopes = [
-            zipf_fit(power_law_ranks(1000, 1.0, 0.01, s)).loglog_slope for s in range(50)
+            zipf_fit(power_law_ranks(1000, 1.0, 0.01, s), trim_fraction=0.05).loglog_slope
+            for s in range(50)
         ]
         assert np.mean(slopes) == pytest.approx(-1.0, abs=0.05)
 
@@ -93,7 +94,7 @@ class TestZipfFit:
 
     def test_unsorted_rejected(self):
         with pytest.raises(RankStatsError, match="non-increasing"):
-            zipf_fit([1.0, 2.0, 1.0, 0.5])
+            zipf_fit([1.0, 2.0, 1.0, 0.5], trim_fraction=0.05)
 
     def test_nonpositive_inside_window(self):
         with pytest.raises(RankStatsError, match="nonpositive"):
@@ -117,8 +118,8 @@ class TestZipfFit:
     def test_scale_invariance_of_slopes(self, beta, scale):
         r = np.arange(1, 201, dtype=float)
         vals = r**-beta
-        a = zipf_fit(vals)
-        b = zipf_fit(scale * vals)
+        a = zipf_fit(vals, trim_fraction=0.05)
+        b = zipf_fit(scale * vals, trim_fraction=0.05)
         assert b.loglog_slope == pytest.approx(a.loglog_slope, abs=1e-9)
         assert b.semilog_slope == pytest.approx(a.semilog_slope, abs=1e-9)
 

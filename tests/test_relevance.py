@@ -109,7 +109,7 @@ def rank_by(table: RelevanceTable, measure: Measure) -> list[int]:
     other = Measure.Q if measure is Measure.F else Measure.F
     indices = np.arange(len(table.ids), dtype=float)
     indexed = dataclasses.replace(table, **{other.value: indices})
-    return mutual_sequence(indexed, measure, other).astype(int).tolist()
+    return mutual_sequence(indexed, measure, other, include_zero_scores=True).astype(int).tolist()
 
 
 class TestRankBy:
@@ -137,23 +137,24 @@ class TestRankBy:
 
 class TestMutualSequence:
     def test_f_of_rank_q(self, micro_table):
-        seq = mutual_sequence(micro_table, Measure.Q, Measure.F)
+        seq = mutual_sequence(micro_table, Measure.Q, Measure.F, include_zero_scores=True)
         np.testing.assert_allclose(seq, MICRO_MUTUAL_F_OF_Q, atol=1e-12)
 
     def test_q_of_rank_q_is_sorted(self, micro_table):
-        seq = mutual_sequence(micro_table, Measure.Q, Measure.Q)
+        seq = mutual_sequence(micro_table, Measure.Q, Measure.Q, include_zero_scores=True)
         np.testing.assert_allclose(seq, sorted(MICRO_Q, reverse=True), atol=1e-12)
         assert np.all(np.diff(seq) <= 0)
 
     def test_self_ranked_is_sorted_permutation(self, micro_table):
         for m in (Measure.F, Measure.Q):
-            seq = mutual_sequence(micro_table, m, m)
+            seq = mutual_sequence(micro_table, m, m, include_zero_scores=True)
             np.testing.assert_allclose(
                 seq, np.sort(micro_table.scores(m))[::-1], atol=0
             )
 
     def test_length_matches_corpus(self, micro_table):
-        assert mutual_sequence(micro_table, Measure.Q, Measure.F).size == 3
+        seq = mutual_sequence(micro_table, Measure.Q, Measure.F, include_zero_scores=True)
+        assert seq.size == 3
 
     def test_zero_score_exclusion(self):
         corpus = ingest_jsonl([
@@ -215,5 +216,5 @@ class TestBruteForceOracle:
             assert table.ids == tuple(ids)
             assert table.f.tolist() == f
             assert table.q.tolist() == q
-            assert (mutual_sequence(table, Measure.Q, Measure.F).tolist()
+            assert (mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=True).tolist()
                     == self.oracle.brute_force_mutual(ids, f, q))
