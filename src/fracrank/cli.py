@@ -184,9 +184,12 @@ def run_synth(options: dict, outdir: Path) -> None:
         flags = " and ".join(f"--{option}" for option in required)
         raise click.UsageError(f"--kind {name} requires {flags}")
     try:
-        values = generate(options)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            values = generate(options)
     except SynthError as exc:
         raise click.UsageError(str(exc)) from exc
+    if not np.isfinite(values).all():
+        raise click.UsageError(f"--kind {name} overflows: the series has a non-finite value")
     write_bundle(outdir, {"series.csv": write_series_csv(values), "manifest.json": [manifest]})
 
 
@@ -275,9 +278,10 @@ def analyze(out, **options):
 @click.option("--kind", required=True, type=click.Choice(list(_KINDS)))
 @click.option("--len", "length", required=True, type=click.IntRange(min=2))
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
-@click.option("--h", type=float, help="Target Hurst index for fgn.")
-@click.option("--beta", type=float, help="Power-law exponent.")
-@click.option("--noise", type=float, default=0.0, show_default=True)
+@click.option("--h", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+              help="Target Hurst index for fgn.")
+@click.option("--beta", type=click.FloatRange(min=0, min_open=True), help="Power-law exponent.")
+@click.option("--noise", type=click.FloatRange(min=0), default=0.0, show_default=True)
 @click.option("--slope", type=float)
 @click.option("--intercept", type=float)
 @_out_option

@@ -5,7 +5,8 @@ ending in ``\\n``. Numbers are written with 12 significant digits
 (``"%.12g"``); text fields are quoted as RFC 4180 does, and only when they
 hold a comma, a quote or a line break. Non-finite numbers are rejected both
 ways. Tables are formatted in chunks of ``CHUNK_ROWS`` rows, so no whole-file
-string is built.
+string is built, and one parser, a single ``np.loadtxt`` call, reads every
+table back.
 
 A run writes its files through one ``Bundle``: each file goes to a temp file
 beside its target, and the temp files are renamed into place only once every
@@ -17,11 +18,9 @@ goes on computing; a run may start one such child per table.
 
 from __future__ import annotations
 
-import csv
 import errno
 import os
 import re
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -85,12 +84,6 @@ def format_pairs(header: Sequence[str], values: np.ndarray) -> Iterator[str]:
         yield _rows([cells[:-1], cells[1:]])
 
 
-def _umask() -> int:
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
-
-
 def _write(fd: int, chunks: Iterable[str]) -> None:
     with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
@@ -129,8 +122,7 @@ class Bundle:
         self.outdir = Path(outdir)
         # Deepest first: the order in which a failed run removes them.
         self._created = [d for d in (self.outdir, *self.outdir.parents) if not os.path.lexists(d)]
-        self._staged: list[tuple[str, Path]] = []  # (temp file, target)
-        self._mode = 0o666 & ~_umask()
+        self._staged: list[tuple[Path, Path]] = []  # (temp file, target)
         self._children: list[tuple[int, int]] = []  # (pid, read end of its error pipe)
 
     def __enter__(self) -> "Bundle":
@@ -152,9 +144,11 @@ class Bundle:
             raise
 
     def _stage(self, name: str) -> int:
-        fd, tmp = tempfile.mkstemp(dir=self.outdir, prefix=f".{name}.")
+        tmp = self.outdir / f".{name}.{os.urandom(8).hex()}"
+        # O_EXCL never opens a file or symlink that is already there; the
+        # kernel applies the umask to 0o666, as a plain open() would.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         self._staged.append((tmp, self.outdir / name))
-        os.fchmod(fd, self._mode)  # mkstemp creates the file 0600
         return fd
 
     def write(self, name: str, chunks: Iterable[str]) -> None:
@@ -226,32 +220,12 @@ def write_bundle(outdir, files: dict[str, Iterable[str]]) -> None:
             bundle.write(name, chunks)
 
 
-def _parse(fh, width: int, text_columns: int) -> tuple[list, np.ndarray]:
-    rows = [row for row in csv.reader(fh) if row]
-    for i, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise TableError(f"row {i}: {len(row)} fields, want {width}")
-    text = [tuple(row[j] for row in rows) for j in range(text_columns)]
-    numbers = np.array([row[text_columns:] for row in rows], dtype=float)
-    return text, numbers.reshape(len(rows), width - text_columns)
-
-
-def _load_numbers(path: Path, skiprows: int) -> np.ndarray:
-    # Given the path, loadtxt opens and reads the file itself, about twice as
-    # fast as through a Python file object.
-    with warnings.catch_warnings():
-        # An empty table is rejected by the caller, with a clearer message.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skiprows,
-                          encoding="utf-8")
-
-
 def _decode_error(path: Path, header: Sequence[str], exc: UnicodeDecodeError) -> str:
     """``exc`` located in the file: the codec's message for the whole file, whose
     position is the byte offset in the file, and the data row that holds the byte.
 
-    The readers decode in chunks, so the position in ``exc`` counts from the
-    start of whichever chunk held the byte.
+    The one parser, ``np.loadtxt``, decodes in chunks, so the position in
+    ``exc`` counts from the start of whichever chunk held the byte.
     """
     data = path.read_bytes()
     try:
@@ -278,25 +252,27 @@ def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list
     byte that is not UTF-8 is also named by its offset in the file.
     """
     path = Path(path)
-    width = len(header)
+    dtype = [(name, object if i < text_columns else float) for i, name in enumerate(header)]
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings():
             has_header = fh.readline().strip().lower() == ",".join(header).lower()
-            if text_columns:
-                if not has_header:
-                    fh.seek(0)
-                text, numbers = _parse(fh, width, text_columns)
-        if not text_columns:
-            text, numbers = [], _load_numbers(path, int(has_header))
+            fh.seek(0)
+            # An empty table is rejected below, with a clearer message.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # Given the path, loadtxt reads numbers about twice as fast as through
+            # a file object, but it opens the file with universal newlines, which
+            # would turn a quoted "\r" in a text field into "\n".
+            rows = np.loadtxt(fh if text_columns else path, dtype=dtype, delimiter=",",
+                              quotechar='"', comments=None, ndmin=1, skiprows=int(has_header),
+                              encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise TableError(f"{path.name}: {_decode_error(path, header, exc)}") from exc
-    except (csv.Error, ValueError) as exc:
+    except ValueError as exc:
         raise TableError(f"{path.name}: {exc}") from exc
-    if numbers.shape[0] == 0:
+    if rows.size == 0:
         raise TableError(f"{path.name}: no data rows")
-    if numbers.shape[1] != width - text_columns:
-        raise TableError(f"{path.name}: {numbers.shape[1]} columns, want {width}")
-    finite = np.isfinite(numbers).all(axis=1)
+    numbers = [np.ascontiguousarray(rows[name]) for name in header[text_columns:]]
+    finite = np.logical_and.reduce([np.isfinite(column) for column in numbers])
     if not finite.all():
         raise TableError(f"{path.name}: row {int(np.argmin(finite)) + 1}: non-finite value")
-    return text + [np.ascontiguousarray(column) for column in numbers.T]
+    return [tuple(rows[name]) for name in header[:text_columns]] + numbers

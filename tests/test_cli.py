@@ -461,6 +461,11 @@ class TestSynth:
         (["--kind", "white", "--len", "64", "--seed", str(2**64)], "Invalid value for '--seed'"),
         (["--kind", "white", "--len", "1"], "Invalid value for '--len'"),
         (["--kind", "fgn", "--h", "0.7", "--len", "1"], "Invalid value for '--len'"),
+        # A series that overflows; pyproject.toml makes a numpy RuntimeWarning fail the test.
+        (["--kind", "linear", "--slope", "1e308", "--intercept", "1e308", "--len", "4"],
+         "--kind linear overflows: the series has a non-finite value"),
+        (["--kind", "power", "--beta", "1", "--noise", "1e300", "--len", "8"],
+         "--kind power overflows: the series has a non-finite value"),
     ])
     def test_usage_errors(self, runner, tmp_path, args, message):
         result = runner.invoke(main, ["synth"] + args + ["--out", str(tmp_path / "o")],
@@ -519,9 +524,10 @@ OUT_OF_RANGE = [
     ("analyze", "--grid", 0), ("analyze", "--grid", 4097),
     ("analyze", "--trim", -0.01), ("analyze", "--trim", 0.26), ("analyze", "--trim", math.inf),
     ("synth", "--len", 1), ("synth", "--seed", -1), ("synth", "--seed", 2**64),
-    ("synth", "--kind", "pink"),
+    ("synth", "--kind", "pink"), ("synth", "--h", 0.0), ("synth", "--h", 1.0),
+    ("synth", "--h", math.inf), ("synth", "--beta", 0.0), ("synth", "--noise", -1.0),
 ]
-NON_FINITE = [("analyze", "--trim", math.nan), ("synth", "--h", math.inf),
+NON_FINITE = [("analyze", "--trim", math.nan), ("synth", "--h", math.nan),
               ("synth", "--slope", math.nan)]
 
 
@@ -585,6 +591,9 @@ class TestOptionValues:
         assert "[white|white_noise|fgn|linear|linear_trend|power|power_law_ranks]" in synth
         assert "[x>=2; required]" in synth
         assert f"[default: 0; 0<=x<={2**64 - 1}]" in synth
+        assert "Target Hurst index for fgn.  [0<x<1]" in synth
+        assert "Power-law exponent.  [x>0]" in synth
+        assert "[default: 0.0; x>=0]" in synth
 
 
 class TestCommit:

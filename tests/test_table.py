@@ -2,7 +2,6 @@ import errno
 import os
 import re
 import stat
-import sys
 import time
 
 import numpy as np
@@ -66,6 +65,7 @@ class TestWriterBytes:
         write_bundle(tmp_path, {"t.csv": format_table(("id", "v"), [ids, np.arange(6.0)])})
         assert (tmp_path / "t.csv").read_bytes() == (
             b'id,v\nplain,0\n"a,b",1\n"say ""hi""",2\n"x\ny",3\n"cr\rlf",4\n spaced ,5\n')
+        assert read_table(tmp_path / "t.csv", ("id", "v"), text_columns=1)[0] == ids
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_and_no_file_left(self, tmp_path, bad):
@@ -76,9 +76,7 @@ class TestWriterBytes:
         assert list(tmp_path.iterdir()) == []
 
 
-# Python 3.10's csv module rejects NUL anywhere in a line.
-ID_CHARS = st.characters(codec="utf-8",
-                         exclude_characters="\x00" if sys.version_info < (3, 11) else "")
+ID_CHARS = st.characters(codec="utf-8")
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,7 +221,7 @@ class TestReader:
         (b"\xef\xbb\xbfvalue\n1.5\n", "t.csv: could not convert string '\\ufeffvalue' to float"),
         (b"value\n1.5\n-2\xff\n", "t.csv: 'utf-8' codec can't decode byte 0xff in position"),
         (b"value\n1.5\nabc\n", "t.csv: could not convert string 'abc' to float"),
-        (b"value\n1.5\n-2,3\n", "t.csv: the number of columns changed from 1 to 2"),
+        (b"value\n1.5\n-2,3\n", "t.csv: the dtype passed requires 1 columns but 2 were found"),
         (b"value\n1.5\nnan\n", "t.csv: row 2: non-finite value"),
         (b"", "t.csv: no data rows"),
     ], ids=["crlf", "lone_cr", "blank_lines", "header_case_spaces", "bom", "non_utf8",
@@ -244,9 +242,11 @@ class TestReader:
         ("value\n", ("value",), 0, "t.csv: no data rows"),
         ("", ("id", "v"), 1, "t.csv: no data rows"),
         ("value\n1\nabc\n", ("value",), 0, "could not convert string 'abc'"),
-        ("1,2\n3,4\n", ("value",), 0, "t.csv: 2 columns, want 1"),
-        ("id,v\na,1\nb,2,3\n", ("id", "v"), 1, "t.csv: row 2: 3 fields, want 2"),
-        ("id,v\na,one\n", ("id", "v"), 1, "could not convert string to float"),
+        ("1,2\n3,4\n", ("value",), 0,
+         "t.csv: the dtype passed requires 1 columns but 2 were found"),
+        ("id,v\na,1\nb,2,3\n", ("id", "v"), 1,
+         "t.csv: the dtype passed requires 2 columns but 3 were found at row 2"),
+        ("id,v\na,one\n", ("id", "v"), 1, "t.csv: could not convert string 'one' to float"),
     ])
     def test_rejects(self, tmp_path, text, header, text_columns, message):
         with pytest.raises(TableError, match=re.escape(message)):
