@@ -57,13 +57,14 @@ OUT_ENV_VAR = "FRACRANK_OUT"
 
 
 # The generator kinds: every --kind spelling maps to (name in messages, the
-# options that kind requires, the generator call). The calls look the
-# generators up when they run, so a generator replaced on this module is used.
-_WHITE = ("white", (), lambda o: white_noise(o["length"], o["seed"]))
-_FGN = ("fgn", ("h",), lambda o: fgn(o["length"], o["h"], o["seed"]))
-_LINEAR = ("linear", ("slope", "intercept"),
+# options that kind requires, the other generator options it reads, the
+# generator call). The calls look the generators up when they run, so a
+# generator replaced on this module is used.
+_WHITE = ("white", (), (), lambda o: white_noise(o["length"], o["seed"]))
+_FGN = ("fgn", ("h",), (), lambda o: fgn(o["length"], o["h"], o["seed"]))
+_LINEAR = ("linear", ("slope", "intercept"), (),
            lambda o: linear_trend(o["length"], o["slope"], o["intercept"]))
-_POWER = ("power", ("beta",),
+_POWER = ("power", ("beta",), ("noise",),
           lambda o: power_law_ranks(o["length"], o["beta"], o["noise"], o["seed"]))
 _KINDS = {
     "white": _WHITE,
@@ -74,6 +75,8 @@ _KINDS = {
     "power": _POWER,
     "power_law_ranks": _POWER,
 }
+# The options that only some kinds read; --len and --seed are accepted with every kind.
+_GENERATOR_OPTIONS = tuple(dict.fromkeys(o for kind in _KINDS.values() for o in kind[1] + kind[2]))
 
 
 def _g12(x: float) -> float:
@@ -179,10 +182,17 @@ def run_analyze(options: dict, outdir: Path) -> None:
 
 def run_synth(options: dict, outdir: Path) -> None:
     manifest = _manifest("synth", options)  # rejects a non-finite option before any work
-    name, required, generate = _KINDS[options["kind"]]
+    name, required, optional, generate = _KINDS[options["kind"]]
     if any(options[option] is None for option in required):
         flags = " and ".join(f"--{option}" for option in required)
         raise click.UsageError(f"--kind {name} requires {flags}")
+    # An option that this kind does not read must be left out or at its default
+    # (as --noise 0.0 is in every manifest), so a manifest records no setting
+    # that had no effect.
+    defaults = {param.name: param.default for param in synth.params}
+    for option in _GENERATOR_OPTIONS:
+        if option not in required + optional and options[option] not in (None, defaults[option]):
+            raise click.UsageError(f"--kind {name} does not read --{option}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             values = generate(options)

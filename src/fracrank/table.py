@@ -242,6 +242,14 @@ def _decode_error(path: Path, header: Sequence[str], exc: UnicodeDecodeError) ->
     return f"{exc} (row {row})"
 
 
+def _convert_error(exc: ValueError) -> str:
+    """numpy's message with the row of a conversion error counted from 1, as in every
+    other error: numpy counts the data rows of that one error from 0.
+    """
+    return re.sub(r"(could not convert .* at row )(\d+)",
+                  lambda m: f"{m[1]}{int(m[2]) + 1}", str(exc))
+
+
 def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list:
     """Read a table back: the first ``text_columns`` columns as tuples of str, the rest
     as float arrays.
@@ -268,7 +276,7 @@ def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list
     except UnicodeDecodeError as exc:
         raise TableError(f"{path.name}: {_decode_error(path, header, exc)}") from exc
     except ValueError as exc:
-        raise TableError(f"{path.name}: {exc}") from exc
+        raise TableError(f"{path.name}: {_convert_error(exc)}") from exc
     if rows.size == 0:
         raise TableError(f"{path.name}: no data rows")
     numbers = [np.ascontiguousarray(rows[name]) for name in header[text_columns:]]

@@ -125,6 +125,8 @@ BROKEN_MANIFEST_FIELDS = {
     "unknown_field": ("analyze", "foo", 1, "unknown field 'foo'"),
     "out_field": ("analyze", "out", "OUT", "unknown field 'out'"),
     "query_bool": ("score", "query", True, "query = true is not a value for --query"),
+    # The manifest is of --kind white, which reads no noise.
+    "unread_noise": ("synth", "noise", 5.0, "--kind white does not read --noise"),
 }
 
 
@@ -466,6 +468,14 @@ class TestSynth:
          "--kind linear overflows: the series has a non-finite value"),
         (["--kind", "power", "--beta", "1", "--noise", "1e300", "--len", "8"],
          "--kind power overflows: the series has a non-finite value"),
+        # An option that the kind does not read, away from its default.
+        (["--kind", "white", "--len", "64", "--noise", "5"], "--kind white does not read --noise"),
+        (["--kind", "fgn", "--h", "0.7", "--len", "64", "--slope", "1"],
+         "--kind fgn does not read --slope"),
+        (["--kind", "power", "--beta", "1", "--len", "64", "--h", "0.5"],
+         "--kind power does not read --h"),
+        (["--kind", "linear_trend", "--slope", "1", "--intercept", "0", "--len", "64",
+          "--beta", "2"], "--kind linear does not read --beta"),
     ])
     def test_usage_errors(self, runner, tmp_path, args, message):
         result = runner.invoke(main, ["synth"] + args + ["--out", str(tmp_path / "o")],
@@ -473,6 +483,13 @@ class TestSynth:
         assert result.exit_code == 2
         assert f"Error: {message}" in result.output
         assert not (tmp_path / "o").exists()
+
+    def test_unread_option_at_its_default(self, runner, tmp_path):
+        run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "4", "--noise", "0",
+                        "--out", str(tmp_path / "o")])
+        direct = write_series(tmp_path / "direct.csv", white_noise(256, 4))
+        assert (tmp_path / "o" / "series.csv").read_bytes() == direct.read_bytes()
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["noise"] == 0.0
 
     def test_unknown_kind(self, runner, tmp_path):
         result = runner.invoke(main, ["synth", "--kind", "pink", "--len", "64",

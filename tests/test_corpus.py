@@ -1,17 +1,24 @@
+import itertools
 import json
+import random
 import re
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fracrank.corpus
 from fracrank.corpus import (
     CorpusError,
+    Document,
     Query,
     ingest_jsonl,
     ingest_jsonl_path,
     tokenize,
 )
+from fracrank.relevance import score_corpus
 
 _REGEX_TOKEN = re.compile(r"[^\W_]+")
 
@@ -19,6 +26,45 @@ _REGEX_TOKEN = re.compile(r"[^\W_]+")
 def regex_tokenize(text: str) -> list[str]:
     """Oracle: each maximal run of Unicode letters/digits, lowercased on its own."""
     return [m.group(0).lower() for m in _REGEX_TOKEN.finditer(text)]
+
+
+def regex_scores_csv(lines: list[str], query_text: str) -> str:
+    """Oracle: scores.csv of a JSONL corpus, from regex_tokenize and full per-token counts."""
+    query = Query(tuple(dict.fromkeys(regex_tokenize(query_text))))
+    docs = []
+    for line in lines:
+        record = json.loads(line)
+        tokens = regex_tokenize(record["text"])
+        docs.append(Document(record["id"], len(tokens), Counter(tokens)))
+    return "".join(score_corpus(tuple(docs), query).to_csv())
+
+
+# Generated corpora mix ASCII and non-ASCII words (case mappings that lengthen a
+# token or change its bytes, digits, numerals), punctuation runs, separators that
+# str.split does and does not see as whitespace, and adjacent repeats of query terms.
+_ASCII_WORDS = ("alpha", "Alpha", "ALPHA", "beta", "x", "X", "42", "zz9", "a", "strasse")
+_WORDS = _ASCII_WORDS + ("naïve", "NAÏVE", "straße", "STRASSE", "İstanbul", "ΟΔΟΣ", "όδος",
+                         "½", "\ufb01le", "café", "Öl", "ǅ")
+_ASCII_SEPARATORS = (" ", " ", "  ", ", ", "!?--", "_", "\x1c", "\n", "... ", "'")
+_SEPARATORS = _ASCII_SEPARATORS + ("\u3000", " \u2014 ")
+GENERATED_QUERY = "alpha naïve STRASSE İstanbul x 42"
+
+
+def generated_corpus(docs: int, seed: int) -> list[str]:
+    """JSONL lines of a seeded corpus: about half the documents are ASCII, the rest
+    mixed, and three in ten hold a run of one query term repeated."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(docs):
+        ascii_only = rng.random() < 0.5
+        words = rng.choices(_ASCII_WORDS if ascii_only else _WORDS, k=rng.randint(1, 60))
+        if rng.random() < 0.3:
+            at = rng.randrange(len(words))
+            words[at:at] = [rng.choice(("alpha", "x", "42"))] * rng.randint(2, 5)
+        separators = _ASCII_SEPARATORS if ascii_only else _SEPARATORS
+        text = "".join(word + rng.choice(separators) for word in words)
+        lines.append(json.dumps({"id": f"g{i}", "text": text}, ensure_ascii=i % 2 == 0) + "\n")
+    return lines
 
 
 class TestTokenize:
@@ -88,23 +134,68 @@ class TestCountEntries:
         assert sum(doc.counts[t] for t in set(tokens)) == doc.length
 
 
+# Terms that no token can equal (the empty term, ones holding a separator, an
+# uppercase letter or a lone surrogate) and ones that tokens can.
+_TERMS = st.lists(
+    st.one_of(st.sampled_from(["a", "b", "ab", "é", "1", "zz", "ß", "i\u0307", "ς", "", " ", "a b",
+                               "a-b", "a_b", "\x1c", "A", "AB", "É", "\ud800", "a\ud800"]),
+              st.text(alphabet="abAé_ -\ud800", max_size=3)),
+    min_size=1, max_size=8)
+# Texts with lone surrogates, separators that str.split sees as whitespace,
+# runs of punctuation and adjacent repeats of one word.
+_TEXTS = st.one_of(
+    st.text(alphabet="abAB é_,.-1 \ud800\x1c\x1d\x1e\x1f!?İßΣς", min_size=1),
+    st.builds(lambda word, n, sep: sep.join([word] * n),
+              st.sampled_from(["a", "ab", "A", "é", "ß", "İ"]), st.integers(1, 5),
+              st.sampled_from([" ", "  ", "!?", "--", "\x1c", "_"])),
+)
+
+
 class TestIngestTerms:
-    @given(st.lists(st.text(alphabet="abAB é_,.-1", min_size=1), min_size=1, max_size=8),
-           st.lists(st.sampled_from(["a", "b", "ab", "é", "1", "zz"]),
-                    min_size=1, max_size=4, unique=True))
-    def test_same_length_and_term_counts(self, texts, terms):
+    # Batches as small as one byte put every document, or several, in a batch of its own.
+    @given(st.lists(_TEXTS, min_size=1, max_size=8), _TERMS,
+           st.sampled_from([1, 7, 64, fracrank.corpus._BATCH_BYTES]))
+    def test_same_length_and_term_counts(self, texts, terms, batch_bytes):
         lines = [json.dumps({"id": str(i), "text": t}) for i, t in enumerate(texts)]
-        try:
-            full = ingest_jsonl(lines)
-        except CorpusError as exc:
-            with pytest.raises(CorpusError, match=re.escape(str(exc))):
-                ingest_jsonl(lines, terms)
-            return
-        only = ingest_jsonl(lines, terms)
-        assert [(d.id, d.length) for d in only] == [(d.id, d.length) for d in full]
-        for kept, every in zip(only, full):
-            assert set(kept.counts) <= set(terms)
-            assert [kept.counts[t] for t in terms] == [every.counts[t] for t in terms]
+        empty = [i for i, text in enumerate(texts) if not regex_tokenize(text)]
+        with mock.patch.object(fracrank.corpus, "_BATCH_BYTES", batch_bytes):
+            if empty:
+                message = f"line {empty[0] + 1}: document '{empty[0]}' is empty after tokenization"
+                with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+                    ingest_jsonl(lines, terms)
+                return
+            docs = ingest_jsonl(lines, terms)
+        assert [d.id for d in docs] == [str(i) for i in range(len(texts))]
+        for doc, text in zip(docs, texts):
+            every = Counter(regex_tokenize(text))
+            assert doc.length == sum(every.values())
+            assert dict(doc.counts) == {t: every[t] for t in terms if every[t]}
+
+    def test_generated_corpus_spans_batches_and_matches_regex_oracle(self):
+        lines = generated_corpus(4000, 0)
+        query = Query.from_string(GENERATED_QUERY)
+        counted = fracrank.corpus._counted
+        with mock.patch.object(fracrank.corpus, "_counted", wraps=counted) as spy:
+            docs = ingest_jsonl(lines, query.terms)
+        assert spy.call_count >= 3
+        for doc, line in zip(docs, lines):
+            every = Counter(regex_tokenize(json.loads(line)["text"]))
+            assert doc.length == sum(every.values())
+            assert dict(doc.counts) == {t: every[t] for t in query.terms if every[t]}
+        assert "".join(score_corpus(docs, query).to_csv()) == regex_scores_csv(lines,
+                                                                              GENERATED_QUERY)
+
+    # Tokens and terms around 255 bytes, where the sort key stops telling lengths apart.
+    def test_long_terms(self):
+        text = " ".join(["a" * 300, "a" * 256, "a" * 256, "a" * 255, "é" * 130, "a" * 254 + "b"])
+        terms = ["a" * n for n in (254, 255, 256, 257, 300, 301)] + ["é" * 130, "é" * 128]
+        (doc,) = ingest_jsonl([json.dumps({"id": "d", "text": text})], terms)
+        assert (doc.length, dict(doc.counts)) == (
+            6, {"a" * 255: 1, "a" * 256: 2, "a" * 300: 1, "é" * 130: 1})
+
+    def test_no_terms(self):
+        docs = ingest_jsonl(['{"id": "a", "text": "x y"}', '{"id": "b", "text": "z"}'], [])
+        assert [(d.length, d.counts) for d in docs] == [(2, {}), (1, {})]
 
     def test_one_shot_terms_count_in_every_document(self):
         lines = ['{"id": "a", "text": "x y x"}', '{"id": "b", "text": "x x x"}']
@@ -151,6 +242,24 @@ class TestIngest:
     def test_meta_accepted_and_ignored(self):
         (doc,) = ingest_jsonl(['{"id": "d1", "text": "x x", "meta": {"src": "feed"}}'])
         assert (doc.id, doc.length, doc.counts) == ("d1", 2, {"x": 2})
+
+    # Each bad line, and the start of its message once "line 2: " is put before it.
+    BAD_LINES = {
+        "empty": ('{"id": "e", "text": "!? _"}', "document 'e' is empty after tokenization"),
+        "malformed": ('{"id": "m", "text": ', "malformed record"),
+        "duplicate": ('{"id": "d0", "text": "b"}', "duplicate document id 'd0'"),
+        "text_not_str": ('{"id": "n", "text": 7}', "'text' must be a string"),
+    }
+
+    @pytest.mark.parametrize("terms", [None, ("a", "b")])
+    def test_first_bad_line_wins(self, terms):
+        for k in range(1, len(self.BAD_LINES) + 1):
+            for kinds in itertools.permutations(self.BAD_LINES, k):
+                lines = (['{"id": "d0", "text": "a"}'] + [self.BAD_LINES[kind][0] for kind in kinds]
+                         + ['{"id": "z", "text": "a b"}'])
+                with pytest.raises(CorpusError) as info:
+                    ingest_jsonl(lines, terms)
+                assert str(info.value).startswith(f"line 2: {self.BAD_LINES[kinds[0]][1]}"), kinds
 
     def test_empty_input_rejected(self):
         with pytest.raises(CorpusError):

@@ -251,3 +251,20 @@ class TestReader:
     def test_rejects(self, tmp_path, text, header, text_columns, message):
         with pytest.raises(TableError, match=re.escape(message)):
             read_table(self.write(tmp_path, text), header, text_columns)
+
+    # numpy counts the data rows of a conversion error from 0; every error here
+    # names the data row from 1, with the header and blank lines not counted.
+    @pytest.mark.parametrize("text, header, text_columns, row", [
+        ("value\n1\nabc\n3\n", ("value",), 0, 2),
+        ("1\nabc\n", ("value",), 0, 2),
+        ("value\n\n1\n\n\nabc\n", ("value",), 0, 2),
+        ("value\r\nabc\r\n", ("value",), 0, 1),
+        ("id,raw_f,raw_q,f,q\na,1,1,1,1\nb,1,x,1,1\n", ("id", "raw_f", "raw_q", "f", "q"), 1, 2),
+        ("id,v\n\na,1\n\n\"b\nc\",2\nd,x at row 0\n", ("id", "v"), 1, 3),
+        ("a,1\nb,\n", ("id", "v"), 1, 2),
+    ], ids=["header", "no_header", "blank_lines", "first_row", "scores", "scores_blank_quoted",
+            "scores_empty_field"])
+    def test_conversion_error_names_the_data_row(self, tmp_path, text, header, text_columns, row):
+        with pytest.raises(TableError, match=r"^t\.csv: could not convert string .* at row "
+                                             f"{row}, column"):
+            read_table(self.write(tmp_path, text), header, text_columns)
