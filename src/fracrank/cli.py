@@ -60,11 +60,11 @@ OUT_ENV_VAR = "FRACRANK_OUT"
 # options that kind requires, the other generator options it reads, the
 # generator call). The calls look the generators up when they run, so a
 # generator replaced on this module is used.
-_WHITE = ("white", (), (), lambda o: white_noise(o["length"], o["seed"]))
-_FGN = ("fgn", ("h",), (), lambda o: fgn(o["length"], o["h"], o["seed"]))
+_WHITE = ("white", (), ("seed",), lambda o: white_noise(o["length"], o["seed"]))
+_FGN = ("fgn", ("h",), ("seed",), lambda o: fgn(o["length"], o["h"], o["seed"]))
 _LINEAR = ("linear", ("slope", "intercept"), (),
            lambda o: linear_trend(o["length"], o["slope"], o["intercept"]))
-_POWER = ("power", ("beta",), ("noise",),
+_POWER = ("power", ("beta",), ("noise", "seed"),
           lambda o: power_law_ranks(o["length"], o["beta"], o["noise"], o["seed"]))
 _KINDS = {
     "white": _WHITE,
@@ -75,7 +75,7 @@ _KINDS = {
     "power": _POWER,
     "power_law_ranks": _POWER,
 }
-# The options that only some kinds read; --len and --seed are accepted with every kind.
+# The options that only some kinds read; --len is accepted with every kind.
 _GENERATOR_OPTIONS = tuple(dict.fromkeys(o for kind in _KINDS.values() for o in kind[1] + kind[2]))
 
 
@@ -213,10 +213,11 @@ _out_option = click.option(
 
 
 def _run(runner, options, out) -> None:
-    """Run a command; fracrank errors (all ValueError) and file errors exit 1 with their message."""
+    """Run a command; fracrank errors (all ValueError), file errors and a failed
+    allocation exit 1 with their message."""
     try:
         runner(options, Path(out))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         raise click.ClickException(str(exc)) from exc
 
 
@@ -249,12 +250,12 @@ def main():
 
 
 def _windows(ctx, param, text):
-    """Parse a comma-separated window list into a tuple of ints."""
+    """Parse a comma-separated window list into a tuple of ints that fit a C long."""
     if text is None:
         return None
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
+        return tuple(np.array([int(t) for t in text.split(",") if t.strip()], dtype=int).tolist())
+    except (ValueError, OverflowError) as exc:
         raise click.BadParameter(f"bad window list {text!r}") from exc
 
 

@@ -1,6 +1,8 @@
 import importlib.util
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from fracrank.corpus import Query, ingest_jsonl_path
 from fracrank.relevance import score_corpus
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 MICRO_CORPUS = FIXTURES / "micro_corpus.jsonl"
 
@@ -20,9 +23,16 @@ MICRO_Q = [v / MICRO_Q_RAW[0] for v in MICRO_Q_RAW]
 MICRO_MUTUAL_F_OF_Q = [0.75, 1.0, 0.25]
 
 
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run this Python in a process of its own, with the source tree's ``src`` on its path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
 def load_brute_force_oracle():
     """scripts/verify_micro_corpus.py as a module (a scorer independent of fracrank)."""
-    path = Path(__file__).parent.parent / "scripts" / "verify_micro_corpus.py"
+    path = ROOT / "scripts" / "verify_micro_corpus.py"
     spec = importlib.util.spec_from_file_location("verify_micro_corpus", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import time
 from pathlib import Path
 
@@ -21,9 +22,17 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import write_bundle
+from fracrank.table import CHUNK_ROWS, write_bundle
 
-from conftest import MICRO_CORPUS, MICRO_F, MICRO_MUTUAL_F_OF_Q, MICRO_Q, assert_no_child_left
+from conftest import (
+    MICRO_CORPUS,
+    MICRO_F,
+    MICRO_MUTUAL_F_OF_Q,
+    MICRO_Q,
+    assert_no_child_left,
+    run_python,
+)
+from test_corpus import GENERATED_QUERY, generated_case
 
 
 @pytest.fixture
@@ -47,15 +56,17 @@ def write_series(path: Path, values) -> Path:
 
 
 # Every accepted --kind spelling, its options, and the generator call it stands for.
+# The linear kinds read no --seed.
 SYNTH_KINDS = [
-    ("white", [], lambda: white_noise(256, 4)),
-    ("white_noise", [], lambda: white_noise(256, 4)),
-    ("fgn", ["--h", "0.7"], lambda: fgn(256, 0.7, 4)),
+    ("white", ["--seed", "4"], lambda: white_noise(256, 4)),
+    ("white_noise", ["--seed", "4"], lambda: white_noise(256, 4)),
+    ("fgn", ["--h", "0.7", "--seed", "4"], lambda: fgn(256, 0.7, 4)),
     ("linear", ["--slope", "-0.5", "--intercept", "3"], lambda: linear_trend(256, -0.5, 3.0)),
     ("linear_trend", ["--slope", "-0.5", "--intercept", "3"],
      lambda: linear_trend(256, -0.5, 3.0)),
-    ("power", ["--beta", "1.2", "--noise", "0.1"], lambda: power_law_ranks(256, 1.2, 0.1, 4)),
-    ("power_law_ranks", ["--beta", "1.2", "--noise", "0.1"],
+    ("power", ["--beta", "1.2", "--noise", "0.1", "--seed", "4"],
+     lambda: power_law_ranks(256, 1.2, 0.1, 4)),
+    ("power_law_ranks", ["--beta", "1.2", "--noise", "0.1", "--seed", "4"],
      lambda: power_law_ranks(256, 1.2, 0.1, 4)),
 ]
 
@@ -118,6 +129,10 @@ BROKEN_MANIFEST_FIELDS = {
                       "Invalid value for '--dfa-windows': bad window list '4.7,8.9,16,32'"),
     "bool_windows": ("analyze", "rs_windows", [True, 16, 32, 64],
                      "Invalid value for '--rs-windows': bad window list 'True,16,32,64'"),
+    # Too large for a C long, the type of the estimators' window arrays.
+    "huge_windows": ("analyze", "dfa_windows", [4, 8, 16, 99999999999999999999],
+                     "Invalid value for '--dfa-windows': bad window list "
+                     "'4,8,16,99999999999999999999'"),
     # The manifest's input is a series; --ranked-by z is still a usage error.
     "ranked_by_z": ("analyze", "ranked_by", "z", "Invalid value for '--ranked-by': 'z'"),
     "zero_scores_int": ("analyze", "include_zero_scores", 1,
@@ -408,11 +423,14 @@ class TestAnalyze:
     @pytest.mark.parametrize("option", ["--dfa-windows", "--rs-windows"])
     def test_bad_window_list_is_usage_error(self, runner, tmp_path, option):
         series = write_series(tmp_path / "w.csv", white_noise(512, 1))
-        result = runner.invoke(main, ["analyze", "--series", str(series), option, "16,x",
-                                      "--out", str(tmp_path / "a")], catch_exceptions=False)
-        assert result.exit_code == 2
-        assert f"Error: Invalid value for '{option}': bad window list '16,x'" in result.output
-        assert not (tmp_path / "a").exists()
+        # Not an integer, and too large for a C long.
+        for text in ("16,x", "4,8,16,99999999999999999999"):
+            result = runner.invoke(main, ["analyze", "--series", str(series), option, text,
+                                          "--out", str(tmp_path / "a")], catch_exceptions=False)
+            assert result.exit_code == 2
+            assert f"Error: Invalid value for '{option}': bad window list '{text}'" \
+                in result.output
+            assert not (tmp_path / "a").exists()
 
     def test_requires_exactly_one_input(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--out", str(tmp_path)])
@@ -445,7 +463,7 @@ class TestSynth:
     @pytest.mark.parametrize("kind, options, generator", SYNTH_KINDS,
                              ids=[k for k, _, _ in SYNTH_KINDS])
     def test_kind_spelling_calls_generator(self, runner, tmp_path, kind, options, generator):
-        run_ok(runner, ["synth", "--kind", kind, "--len", "256", "--seed", "4",
+        run_ok(runner, ["synth", "--kind", kind, "--len", "256",
                         "--out", str(tmp_path / "o")] + options)
         direct = write_series(tmp_path / "direct.csv", generator())
         assert (tmp_path / "o" / "series.csv").read_bytes() == direct.read_bytes()
@@ -476,12 +494,24 @@ class TestSynth:
          "--kind power does not read --h"),
         (["--kind", "linear_trend", "--slope", "1", "--intercept", "0", "--len", "64",
           "--beta", "2"], "--kind linear does not read --beta"),
+        (["--kind", "linear", "--slope", "1", "--intercept", "0", "--len", "64", "--seed", "3"],
+         "--kind linear does not read --seed"),
     ])
     def test_usage_errors(self, runner, tmp_path, args, message):
         result = runner.invoke(main, ["synth"] + args + ["--out", str(tmp_path / "o")],
                                catch_exceptions=False)
         assert result.exit_code == 2
         assert f"Error: {message}" in result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", [["white"], ["fgn", "--h", "0.7"]], ids=["white", "fgn"])
+    def test_unallocatable_length_is_an_error(self, runner, tmp_path, kind):
+        # 2^57 values take 1 EiB, more than any user address space, so the
+        # allocation fails at once even where memory is overcommitted.
+        result = runner.invoke(main, ["synth", "--kind", *kind, "--len", str(2**57),
+                                      "--out", str(tmp_path / "o")], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "Error: Unable to allocate 1.00 EiB" in result.output
         assert not (tmp_path / "o").exists()
 
     def test_unread_option_at_its_default(self, runner, tmp_path):
@@ -830,3 +860,61 @@ class TestRerun:
         assert message in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / "b").exists()
+
+
+def run_cli(*args, code=0) -> None:
+    """Run ``python -m fracrank.cli`` (what the console script runs) in a process of its own.
+
+    It must exit with ``code``, and print no traceback and no numpy
+    RuntimeWarning. A writer child that outlived it would hold its stdout open,
+    so the run would not return before its timeout.
+    """
+    result = run_python("-m", "fracrank.cli", *args)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
+    assert "RuntimeWarning" not in result.stderr, result.stderr
+
+
+@pytest.fixture(scope="module")
+def fgn_bundle(tmp_path_factory):
+    """The analyze bundle of one CHUNK_ROWS of fGn values, made by real processes."""
+    tmp = tmp_path_factory.mktemp("fgn")
+    run_cli("synth", "--kind", "fgn", "--h", "0.75", "--len", CHUNK_ROWS, "--out", tmp / "fgn")
+    run_cli("analyze", "--series", tmp / "fgn" / "series.csv", "--out", tmp / "analyze")
+    return tmp / "analyze"
+
+
+class TestProcess:
+    """The CLI as a real process: its exit codes, stderr, forked writer children and files."""
+
+    @pytest.mark.parametrize("case", ["analyze_rerun", "flat_series_keeps_out",
+                                      "grid_0_keeps_out", "one_value_no_fresh_out",
+                                      "generated_corpus"])
+    def test_cli_process(self, tmp_path, fgn_bundle, case):
+        out = tmp_path / "out"
+        if case == "analyze_rerun":
+            run_cli("rerun", fgn_bundle / "manifest.json", "--out", out)
+            assert tree(out) == tree(fgn_bundle)
+        elif case == "generated_corpus":
+            lines, expected = generated_case()
+            corpus = tmp_path / "generated.jsonl"
+            corpus.write_text("".join(lines), encoding="utf-8")
+            run_cli("score", "--corpus", corpus, "--query", GENERATED_QUERY, "--out", out)
+            assert (out / "scores.csv").read_bytes() == expected.encode()
+        elif case == "one_value_no_fresh_out":
+            # Fails in poincare_map after the sequence.csv writer child has started.
+            one = write_series(tmp_path / "one.csv", [0.5])
+            run_cli("analyze", "--series", one, "--out", out, code=1)
+            assert not out.exists()
+        else:
+            before = tree(shutil.copytree(fgn_bundle, out))
+            if case == "flat_series_keeps_out":
+                # Fails in dfa after both writer children have started.
+                flat = tmp_path / "flat.csv"
+                flat.write_text("value\n" + "1.0\n" * 64)
+                run_cli("analyze", "--series", flat, "--out", out, code=1)
+            else:  # a usage error, before the input is read
+                series = fgn_bundle.parent / "fgn" / "series.csv"
+                run_cli("analyze", "--series", series, "--grid", 0, "--out", out, code=2)
+            assert list(out.glob(".*.csv.*")) == []
+            assert tree(out) == before

@@ -1,8 +1,10 @@
+import functools
 import itertools
 import json
 import random
 import re
 from collections import Counter
+from collections.abc import Iterable
 from unittest import mock
 
 import pytest
@@ -28,7 +30,7 @@ def regex_tokenize(text: str) -> list[str]:
     return [m.group(0).lower() for m in _REGEX_TOKEN.finditer(text)]
 
 
-def regex_scores_csv(lines: list[str], query_text: str) -> str:
+def regex_scores_csv(lines: Iterable[str], query_text: str) -> str:
     """Oracle: scores.csv of a JSONL corpus, from regex_tokenize and full per-token counts."""
     query = Query(tuple(dict.fromkeys(regex_tokenize(query_text))))
     docs = []
@@ -65,6 +67,14 @@ def generated_corpus(docs: int, seed: int) -> list[str]:
         text = "".join(word + rng.choice(separators) for word in words)
         lines.append(json.dumps({"id": f"g{i}", "text": text}, ensure_ascii=i % 2 == 0) + "\n")
     return lines
+
+
+@functools.cache
+def generated_case() -> tuple[tuple[str, ...], str]:
+    """The 4,000-document generated corpus of seed 0 (more than one ingest batch) and
+    its scores.csv by the regex oracle."""
+    lines = tuple(generated_corpus(4000, 0))
+    return lines, regex_scores_csv(lines, GENERATED_QUERY)
 
 
 class TestTokenize:
@@ -172,7 +182,7 @@ class TestIngestTerms:
             assert dict(doc.counts) == {t: every[t] for t in terms if every[t]}
 
     def test_generated_corpus_spans_batches_and_matches_regex_oracle(self):
-        lines = generated_corpus(4000, 0)
+        lines, expected = generated_case()
         query = Query.from_string(GENERATED_QUERY)
         counted = fracrank.corpus._counted
         with mock.patch.object(fracrank.corpus, "_counted", wraps=counted) as spy:
@@ -182,8 +192,7 @@ class TestIngestTerms:
             every = Counter(regex_tokenize(json.loads(line)["text"]))
             assert doc.length == sum(every.values())
             assert dict(doc.counts) == {t: every[t] for t in query.terms if every[t]}
-        assert "".join(score_corpus(docs, query).to_csv()) == regex_scores_csv(lines,
-                                                                              GENERATED_QUERY)
+        assert "".join(score_corpus(docs, query).to_csv()) == expected
 
     # Tokens and terms around 255 bytes, where the sort key stops telling lengths apart.
     def test_long_terms(self):

@@ -6,21 +6,13 @@ its next manual run.
 
 import ast
 import math
-import os
 import subprocess
-import sys
-from pathlib import Path
 
-from conftest import MICRO_MUTUAL_F_OF_Q
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import MICRO_MUTUAL_F_OF_Q, ROOT, run_python
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return run_python(ROOT / "scripts" / name, *args)
 
 
 def test_estimator_recovery_runs():
