@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracrank.fractal import _line_fit, _window_basis
 from fracrank.synth import (
@@ -47,6 +51,16 @@ def assert_same_bits(got, want):
     """Equal values and equal signs, so that -0.0 and +0.0 count as different."""
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Twelve (length, H) pairs, more than the spectrum cache holds, with H
@@ -114,6 +128,30 @@ class TestFgn:
 
     def test_long_series_matches_uncached_reference(self):
         assert_same_bits(fgn(2**20, 0.75, 6), reference_fgn(2**20, 0.75, 6))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(6, 14),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.integers(0, 2**64 - 1))
+    def test_any_length_h_and_seed_match_uncached_reference(self, k, h, seed):
+        assert_same_bits(fgn(2**k, h, seed), reference_fgn(2**k, h, seed))
+
+    def test_peak_memory_is_one_complex_buffer(self):
+        # C is the 2N-point complex buffer that each circulant FFT transforms,
+        # and which also holds the draws. A warm call may add the N-value
+        # result, a cold one also the cached spectrum and its computation.
+        # numpy's own FFT scratch is allowed on top, as measured here for one
+        # in-place transform of such a buffer after a call has planned it.
+        n = 2**16
+        c = 2 * n * 16
+        fgn(n, 0.75, 0)
+        buf = np.zeros(2 * n, dtype=complex)
+        scratch = traced_peak(lambda: np.fft.fft(buf, out=buf))
+        warm = traced_peak(lambda: fgn(n, 0.75, 1))
+        _sqrt_spectrum.cache_clear()
+        cold = traced_peak(lambda: fgn(n, 0.75, 1))
+        assert warm < 1.5 * c + scratch, f"warm peak {warm / c:.2f} C"
+        assert cold < 2 * c + scratch, f"cold peak {cold / c:.2f} C"
 
     @pytest.mark.parametrize("n", [64, 2**16])
     def test_series_owns_its_values(self, n):
