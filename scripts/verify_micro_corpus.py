@@ -28,7 +28,11 @@ def brute_force_scores(jsonl_path, terms):
         ids.append(rec["id"])
         counts = [sum(1 for tok in tokens if tok == term) for term in terms]
         raw_f.append(sum(counts))
-        raw_q.append(sum(math.log(m + 1) for m in counts) / len(tokens))
+        # Left to right, as Q is defined: sum() of floats is compensated from Python 3.12 on.
+        q = 0.0
+        for m in counts:
+            q += math.log(m + 1)
+        raw_q.append(q / len(tokens))
     f_max = max(raw_f)
     q_max = max(raw_q)
     f = [v / f_max for v in raw_f]

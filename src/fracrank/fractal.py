@@ -169,23 +169,38 @@ def dfa(series, windows=None) -> FluctuationCurve:
     return FluctuationCurve(windows=windows, d=d, alpha=alpha, alpha_r2=r2)
 
 
+def _ranges_and_sds(blocks: np.ndarray,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """R and population S of every row; the deviations are formed in ``out`` if given."""
+    w = blocks.shape[1]
+    dev = np.subtract(blocks, np.add.reduce(blocks, axis=1, keepdims=True) / w, out=out)
+    s = np.sqrt(np.add.reduce(dev * dev, axis=1) / w)
+    cum = np.cumsum(dev, axis=1, out=dev)
+    return cum.max(axis=1) - cum.min(axis=1), s
+
+
 def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
                      ties: bool = True) -> np.ndarray:
     """R/S of every row of a 2-D block array, leaving out constant rows and rows with S == 0.
 
     The row-mean deviations, written into ``out`` if given, feed both S
     (population form) and the running sums whose range is R, formed in place.
+    A row with S below 2**-500 would have subnormal squares, so it is measured
+    again divided by the power of two of its own largest magnitude (exact).
     A constant row's float mean can round (tiny S, R/S = w - 1); ``ties=False``
     skips that constancy test, for a series with no two equal neighbours.
     """
-    w = blocks.shape[1]
-    dev = np.subtract(blocks, np.add.reduce(blocks, axis=1, keepdims=True) / w, out=out)
-    s = np.sqrt(np.add.reduce(dev * dev, axis=1) / w)
-    cum = np.cumsum(dev, axis=1, out=dev)
-    r = cum.max(axis=1) - cum.min(axis=1)
+    r, s = _ranges_and_sds(blocks, out)
+    tiny = s < 2.0**-500
+    if tiny.any():
+        rows = blocks[tiny]
+        e = np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1]
+        r[tiny], s[tiny] = _ranges_and_sds(np.ldexp(rows, -e))
     usable = s != 0.0
     if ties:
         usable &= blocks.max(axis=1) != blocks.min(axis=1)
+    if usable.all():
+        return r / s
     return r[usable] / s[usable]
 
 

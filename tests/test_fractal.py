@@ -16,6 +16,7 @@ from fracrank.fractal import (
     _line_fit,
     _ols,
     _profile,
+    _rescaled_ranges,
     _window_basis,
     dfa,
     hurst_pointwise,
@@ -104,7 +105,9 @@ def polyfit_ols(x, y):
 def naive_rs_means(series, windows):
     """Reference R/S curve: textbook R/S of every block, degenerate blocks skipped.
 
-    Blocks are cut from the series divided by the estimators' power of two.
+    Blocks are cut from the series divided by the estimators' power of two, and
+    each is divided again by that of its own largest magnitude (exact), so no
+    square underflows however far a block sits below the rest of the series.
     A window whose blocks are all degenerate is dropped, as is one with no block.
     """
     x = unit_scaled(series)
@@ -112,7 +115,7 @@ def naive_rs_means(series, windows):
     for w in windows:
         vals = []
         for b in range(x.size // w):
-            rs = textbook_rs(x[b * w : (b + 1) * w])
+            rs = textbook_rs(unit_scaled(x[b * w : (b + 1) * w]))
             if rs is not None:
                 vals.append(rs)
         if vals:
@@ -541,6 +544,37 @@ def test_subnormal_d_named():
     # At 2^-1030 the values are subnormal, and so would be D(n) * 2**e.
     with pytest.raises(DegenerateSeriesError, match="values too small: D\\(n\\)"):
         dfa(fgn(8192, 0.75, 3) * 2.0**-1030)
+
+
+class TestMixedScales:
+    """A block or prefix far below the series' largest magnitude is measured at its own
+    scale: at the series' scale its squares would be subnormal (2^-531) or 0 (2^-565)."""
+
+    @pytest.mark.parametrize("k", [-531, -565])
+    def test_tiny_block_rs_equals_block_alone(self, k):
+        tiny = np.ldexp(white_noise(64, 5), k)
+        x = unit_scaled(np.concatenate([white_noise(64, 1), tiny]))
+        rs = _rescaled_ranges(x.reshape(2, 64))
+        assert rs.size == 2
+        assert rs[1] == rs_statistic(tiny)
+
+    @pytest.mark.parametrize("k", [-531, -565])
+    def test_tiny_prefixes_equal_tiny_part_alone(self, k):
+        tiny = np.ldexp(white_noise(1024, 5), k)
+        mixed, mixed_skipped = hurst_pointwise(np.concatenate([tiny, white_noise(7168, 1)]))
+        alone, _ = hurst_pointwise(tiny)
+        shared = np.intersect1d(mixed[:, 0], alone[:, 0])
+        assert shared.size >= 5 and not mixed_skipped
+        np.testing.assert_array_equal(mixed[np.isin(mixed[:, 0], shared)],
+                                      alone[np.isin(alone[:, 0], shared)])
+
+    @pytest.mark.parametrize("k", [-531, -565])
+    def test_dfa_of_tiny_block_equals_zeroed_block(self, k):
+        """The profile's mean slope dominates the tiny block, whose share of D(n) is
+        far below rounding: D(n) is that of the series with the block set to 0."""
+        x = white_noise(4096, 1)
+        zeroed = dfa(np.concatenate([x, np.zeros(4096)]))
+        np.testing.assert_array_equal(dfa(np.concatenate([x, np.ldexp(x, k)])).d, zeroed.d)
 
 
 class TestHurstPointwise:

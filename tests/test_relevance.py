@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -92,6 +93,49 @@ class TestScoreCorpus:
         assert table.q.max() == 1.0
         assert np.all((table.f >= 0) & (table.f <= 1))
         assert np.all((table.q >= 0) & (table.q <= 1))
+
+    def test_q_adds_left_to_right(self):
+        # Counts (1, 2, 2) are the first triple whose ln(m + 1) a compensated sum,
+        # as sum() of floats is from Python 3.12 on, rounds otherwise.
+        logs = [math.log(2), math.log(3), math.log(3)]
+        assert math.fsum(logs) / 5 != left_to_right_q([1, 2, 2], 5)
+        corpus = ingest_jsonl(['{"id": "d", "text": "a b b c c"}'])
+        table = score_corpus(corpus, Query(("a", "b", "c")))
+        assert table.raw_q.tolist() == [left_to_right_q([1, 2, 2], 5)]
+
+    def test_q_uses_math_log(self):
+        # ln(9170) is the first ln(m + 1) that np.log and np.log1p round otherwise
+        # than math.log on some numpy builds (numpy 2.4 on x86-64 among them).
+        corpus = ingest_jsonl([json.dumps({"id": "d", "text": "a " * 9169})])
+        table = score_corpus(corpus, Query(("a", "b")))
+        assert table.raw_q.tolist() == [left_to_right_q([9169, 0], 9169)]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.lists(
+        st.tuples(st.lists(st.none() | st.integers(0, 50), min_size=k, max_size=k),
+                  st.integers(1, 20)),
+        min_size=1, max_size=8)))
+    def test_q_bits_match_left_to_right_loop(self, rows):
+        """Count matrices of up to 6 terms, None marking a term the document lacks."""
+        assume(any(m for counts, _ in rows for m in counts))
+        terms = tuple(f"t{j}" for j in range(len(rows[0][0])))
+        held = [[m or 0 for m in counts] for counts, _ in rows]
+        lengths = [sum(h) + extra for h, (_, extra) in zip(held, rows)]
+        corpus = tuple(
+            Document(f"d{i}", n, Counter({t: m for t, m in zip(terms, counts) if m is not None}))
+            for i, ((counts, _), n) in enumerate(zip(rows, lengths))
+        )
+        table = score_corpus(corpus, Query(terms))
+        assert table.raw_f.tolist() == [float(sum(h)) for h in held]
+        assert table.raw_q.tolist() == [left_to_right_q(h, n) for h, n in zip(held, lengths)]
+
+
+def left_to_right_q(counts, length) -> float:
+    """Raw Q as defined: ln(m + 1) added term by term in query order, then / length."""
+    q = 0.0
+    for m in counts:
+        q += math.log(m + 1)
+    return q / length
 
 
 def _scaled_table(table: RelevanceTable, factor: float) -> RelevanceTable:
@@ -211,8 +255,8 @@ class TestBruteForceOracle:
             assume(False)
         for ingest_terms in ingests:
             table = score_corpus(ingest_jsonl_path(path, ingest_terms), query)
-            # Both sides add the same nonzero terms in the same order (fracrank skips
-            # the exact zeros of absent terms): compare exactly.
+            # Both sides add ln(m + 1) left to right in query order (an absent term
+            # adds +0.0, which keeps the bits): compare exactly.
             assert table.ids == tuple(ids)
             assert table.f.tolist() == f
             assert table.q.tolist() == q
