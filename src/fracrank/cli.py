@@ -4,9 +4,10 @@ Every run writes a ``manifest.json`` echoing the fully resolved options;
 ``fracrank rerun MANIFEST --out DIR`` turns them back into the command line
 they record and parses it with the command's own options, so a manifest is
 accepted exactly when that command line is, and the run is reproduced
-byte-for-byte. A run writes its files through one ``fracrank.table.Bundle``:
-each to a temp file beside its target, all renamed into place only once every
-one is written, so a failed or interrupted run leaves ``--out`` as it was.
+byte-for-byte. ``_run`` opens one ``fracrank.table.Bundle`` on ``--out``
+before the input is read: each file goes to a temp file beside its target, all
+renamed into place only once every one is written, so a failed or interrupted
+run leaves ``--out`` as it was.
 ``analyze`` hands each of its two large tables to a forked writer child of
 its own (POSIX only) as soon as the table's data exists: ``sequence.csv`` once
 the input is read, ``poincare.csv`` once the return map is built. It runs the
@@ -51,7 +52,7 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import Bundle, format_table, write_bundle
+from fracrank.table import Bundle, format_table
 
 OUT_ENV_VAR = "FRACRANK_OUT"
 
@@ -99,18 +100,16 @@ def _manifest(command: str, options: dict) -> str:
     return _json({"command": command, "config": options}, indent=2)
 
 
-def run_score(options: dict, outdir: Path) -> None:
+def run_score(options: dict, bundle: Bundle) -> None:
     query = Query.from_string(options["query"])
     corpus = ingest_jsonl_path(options["corpus"], query.terms)
     table = score_corpus(corpus, query)
-    summary = _json({
+    bundle.write("scores.csv", table.to_csv())
+    bundle.write("summary.json", [_json({
         "n_documents": len(corpus),
         "n_terms": len(query.terms),
         "n_zero_score": int(table.zero_score.sum()),
-    })
-    manifest = _manifest("score", options)
-    write_bundle(outdir, {"scores.csv": table.to_csv(), "summary.json": [summary],
-                          "manifest.json": [manifest]})
+    })])
 
 
 def _load_sequence(options: dict) -> np.ndarray:
@@ -134,54 +133,50 @@ def _estimate(name: str, estimator, values: np.ndarray, windows):
         raise click.ClickException(f"{name} failed: {exc}") from exc
 
 
-def run_analyze(options: dict, outdir: Path) -> None:
-    manifest = _manifest("analyze", options)  # rejects a non-finite option before any work
+def run_analyze(options: dict, bundle: Bundle) -> None:
     values = _load_sequence(options)
-    with Bundle(outdir) as bundle:
-        # Each large table is formatted and written by a child of its own,
-        # started as soon as its data exists.
-        bundle.write_in_child("sequence.csv", write_series_csv(values))
-        # The return map comes before the estimators, so that the poincare.csv
-        # child starts early. It needs coordinates in [0,1]; rank-map anything else.
-        cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
-        pts = poincare_map(empirical_cdf_map(values) if cdf_mapped else values)
-        occ = occupancy_stats(pts, options["grid"])
-        bundle.write_in_child("poincare.csv", pts.to_csv())
-        curve = _estimate("dfa", dfa, values, options["dfa_windows"])
-        hres = _estimate("hurst_regression", hurst_regression, values, options["rs_windows"])
-        points, _ = hurst_pointwise(values)
-        summary = {
-            "n_values": int(values.size),
-            "alpha": curve.alpha,
-            "alpha_r2": curve.alpha_r2,
-            "h_regression": hres.h_regression,
-            "h_regression_r2": hres.h_r2,
-            "fractal_dim": hres.fractal_dim,
-            "poincare_cdf_mapped": cdf_mapped,
-            "occupied_cells": occ.occupied_cells,
-            "occupied_fraction": occ.occupied_fraction,
-            "chi2_uniform": occ.chi2_uniform,
-        }
-        try:
-            zf = zipf_fit(np.sort(values)[::-1], trim_fraction=options["trim"])
-            summary.update(
-                zipf_semilog_slope=zf.semilog_slope,
-                zipf_semilog_r2=zf.semilog_r2,
-                zipf_loglog_slope=zf.loglog_slope,
-                zipf_loglog_r2=zf.loglog_r2,
-                zipf_n_used=zf.n_used,
-            )
-        except RankStatsError as exc:
-            summary["zipf_error"] = str(exc)
-        summary = {k: _g12(v) if isinstance(v, float) else v for k, v in summary.items()}
-        bundle.write("dfa.csv", curve.to_csv())
-        bundle.write("hurst_pointwise.csv", format_table(("N", "h"), points.T))
-        bundle.write("summary.json", [_json(summary)])
-        bundle.write("manifest.json", [manifest])
+    # Each large table is formatted and written by a child of its own,
+    # started as soon as its data exists.
+    bundle.write_in_child("sequence.csv", write_series_csv(values))
+    # The return map comes before the estimators, so that the poincare.csv
+    # child starts early. It needs coordinates in [0,1]; rank-map anything else.
+    cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
+    pts = poincare_map(empirical_cdf_map(values) if cdf_mapped else values)
+    occ = occupancy_stats(pts, options["grid"])
+    bundle.write_in_child("poincare.csv", pts.to_csv())
+    curve = _estimate("dfa", dfa, values, options["dfa_windows"])
+    hres = _estimate("hurst_regression", hurst_regression, values, options["rs_windows"])
+    points, _ = hurst_pointwise(values)
+    summary = {
+        "n_values": int(values.size),
+        "alpha": curve.alpha,
+        "alpha_r2": curve.alpha_r2,
+        "h_regression": hres.h_regression,
+        "h_regression_r2": hres.h_r2,
+        "fractal_dim": hres.fractal_dim,
+        "poincare_cdf_mapped": cdf_mapped,
+        "occupied_cells": occ.occupied_cells,
+        "occupied_fraction": occ.occupied_fraction,
+        "chi2_uniform": occ.chi2_uniform,
+    }
+    try:
+        zf = zipf_fit(np.sort(values)[::-1], trim_fraction=options["trim"])
+        summary.update(
+            zipf_semilog_slope=zf.semilog_slope,
+            zipf_semilog_r2=zf.semilog_r2,
+            zipf_loglog_slope=zf.loglog_slope,
+            zipf_loglog_r2=zf.loglog_r2,
+            zipf_n_used=zf.n_used,
+        )
+    except RankStatsError as exc:
+        summary["zipf_error"] = str(exc)
+    summary = {k: _g12(v) if isinstance(v, float) else v for k, v in summary.items()}
+    bundle.write("dfa.csv", curve.to_csv())
+    bundle.write("hurst_pointwise.csv", format_table(("N", "h"), points.T))
+    bundle.write("summary.json", [_json(summary)])
 
 
-def run_synth(options: dict, outdir: Path) -> None:
-    manifest = _manifest("synth", options)  # rejects a non-finite option before any work
+def run_synth(options: dict, bundle: Bundle) -> None:
     name, required, optional, generate = _KINDS[options["kind"]]
     if any(options[option] is None for option in required):
         flags = " and ".join(f"--{option}" for option in required)
@@ -200,7 +195,7 @@ def run_synth(options: dict, outdir: Path) -> None:
         raise click.UsageError(str(exc)) from exc
     if not np.isfinite(values).all():
         raise click.UsageError(f"--kind {name} overflows: the series has a non-finite value")
-    write_bundle(outdir, {"series.csv": write_series_csv(values), "manifest.json": [manifest]})
+    bundle.write("series.csv", write_series_csv(values))
 
 
 _out_option = click.option(
@@ -213,10 +208,15 @@ _out_option = click.option(
 
 
 def _run(runner, options, out) -> None:
-    """Run a command; fracrank errors (all ValueError), file errors and a failed
-    allocation exit 1 with their message."""
+    """Run the current command's ``runner`` into one ``Bundle`` on ``out``, then add the
+    manifest; fracrank errors (all ValueError), file errors and a failed allocation
+    exit 1 with their message."""
+    # A non-finite option exits 2 here, before --out is made or the input read.
+    manifest = _manifest(click.get_current_context().command.name, options)
     try:
-        runner(options, Path(out))
+        with Bundle(out) as bundle:
+            runner(options, bundle)
+            bundle.write("manifest.json", [manifest])
     except (ValueError, OSError, MemoryError) as exc:
         raise click.ClickException(str(exc)) from exc
 

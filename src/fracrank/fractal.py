@@ -14,11 +14,11 @@ non-overlapping blocks and R/S is computed row-wise in one pass; a prefix is
 the one-row case. The associated fractal dimension of a self-affine record is
 2 - H.
 
-The estimators are scale-free: each first divides its input by 2**e, e the
-binary exponent of max|x|. That is exact, so the input's magnitude makes no
-square or sum overflow or underflow. R/S is a ratio and needs no undo; DFA
-multiplies D(n) back by 2**e and raises DegenerateSeriesError if that is not a
-normal float.
+The estimators are scale-free. With e the binary exponent of max|x|, each
+divides its input by 2**e (exact) only when e < 0, which loses nothing, or when
+e > 400, where a square or sum could overflow, so no value of a series in between
+is flushed to zero. R/S is a ratio and needs no undo; DFA multiplies D(n) back by
+2**e and raises DegenerateSeriesError if that is not a normal float.
 
 Size-only terms are computed once and shared read-only, with unchanged bits:
 the default window grids (last 16 (lo, hi) pairs) and DFA's regressor k = 1..n
@@ -67,10 +67,13 @@ class HurstResult:
 
 
 def _unit_scaled(series) -> tuple[np.ndarray, int]:
-    """(x / 2**e, e) for e the frexp exponent of max|x|; exact above ~1e-308 * max|x|."""
+    """(x / 2**e, e), e the frexp exponent of max|x|, if e < 0 or e > 400; else (x, 0).
+
+    Only a series whose squares could overflow is scaled down, so no value is
+    flushed to zero; x may be the caller's array, so it is never written to."""
     x = np.asarray(series, dtype=float)
     e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
-    return np.ldexp(x, -e), e
+    return (x, 0) if 0 <= e <= 400 else (np.ldexp(x, -e), e)
 
 
 def _profile(series) -> np.ndarray:
@@ -96,7 +99,8 @@ def _line_fit(xc: np.ndarray, xc_ss: float, x_mean: float,
 @functools.lru_cache(maxsize=16)
 def _geometric_grid(lo: int, hi: int) -> np.ndarray:
     """~20 integers geometrically spaced in [lo, hi], deduplicated; read-only, shared."""
-    grid = np.unique(np.round(np.geomspace(lo, hi, 20)).astype(int))
+    # Window lists are deduplicated by a set: np.unique's first call imports numpy.ma.
+    grid = np.array(sorted(set(np.round(np.geomspace(lo, hi, 20)).astype(int).tolist())))
     grid.flags.writeable = False
     return grid
 
@@ -137,7 +141,7 @@ def dfa(series, windows=None) -> FluctuationCurve:
         raise DegenerateSeriesError("zero fluctuation: series is constant")
     if windows is None:
         windows = _geometric_grid(4, x.size // 4)
-    windows = np.unique(np.asarray(windows, dtype=int))
+    windows = np.array(sorted(set(np.asarray(windows, dtype=int).ravel().tolist())), dtype=int)
     if windows.size and (windows[0] < 4 or windows[-1] > x.size // 4):
         raise ValueError("windows must satisfy 4 <= n <= N/4")
     if windows.size < 4:
@@ -251,7 +255,7 @@ def hurst_regression(series, windows=None) -> HurstResult:
         # Blocks shorter than 16 carry a strong small-sample upward bias in R/S
         # (the N >> 1 regime does not hold there), so they are excluded by default.
         windows = _geometric_grid(16, x.size // 4)
-    windows = np.unique(np.asarray(windows, dtype=int))
+    windows = np.array(sorted(set(np.asarray(windows, dtype=int).ravel().tolist())), dtype=int)
     if windows.size and (windows[0] < 2 or windows[-1] > x.size):
         raise ValueError("R/S windows must satisfy 2 <= w <= N")
     used_w: list[int] = []

@@ -8,12 +8,13 @@ ways. Tables are formatted in chunks of ``CHUNK_ROWS`` rows, so no whole-file
 string is built, and one parser, a single ``np.loadtxt`` call, reads every
 table back.
 
-A run writes its files through one ``Bundle``: each file goes to a temp file
-beside its target, and the temp files are renamed into place only once every
-one of them has been written, so a failed run leaves its output directory as
-it found it. ``Bundle.write_in_child`` hands a large table to a forked child
-(``os.fork``, so POSIX only) that formats and writes it while the caller
-goes on computing; a run may start one such child per table.
+A CLI run writes its files through the one ``Bundle`` that ``fracrank.cli._run``
+opens on ``--out``: each file goes to a temp file beside its target, and the
+temp files are renamed into place only once every one of them has been
+written, so a failed run leaves its output directory as it found it.
+``Bundle.write_in_child`` hands a large table to a forked child (``os.fork``,
+so POSIX only) that formats and writes it while the caller goes on computing;
+a run may start one such child per table.
 """
 
 from __future__ import annotations
@@ -211,13 +212,6 @@ class Bundle:
                 os.rmdir(directory)
             except OSError:  # not empty, so not ours alone
                 break
-
-
-def write_bundle(outdir, files: dict[str, Iterable[str]]) -> None:
-    """Write ``{name: chunks}`` into ``outdir`` as one ``Bundle``."""
-    with Bundle(outdir) as bundle:
-        for name, chunks in files.items():
-            bundle.write(name, chunks)
 
 
 def _decode_error(path: Path, header: Sequence[str], exc: UnicodeDecodeError) -> str:

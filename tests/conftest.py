@@ -49,11 +49,20 @@ def micro_table(micro_corpus):
     return score_corpus(micro_corpus, Query(("alpha", "beta")))
 
 
-def unit_scaled(series):
-    """The series divided by 2**e, e the frexp exponent of max|x|, as the estimators do.
+def write_table(path, chunks) -> Path:
+    """Write text chunks to ``path`` as a run writes a table: UTF-8, ``\\n`` kept."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+    return path
 
-    The division by a power of two is exact, so a reference computed on the
-    result sees the operands the estimators see.
+
+def unit_scaled(series):
+    """The series divided by 2**e, e the frexp exponent of max|x|.
+
+    The division by a power of two is exact for every value that it leaves in
+    the normal range, so an R/S computed on the result has the bits of one
+    computed on the series at whatever power-of-two scale the estimators use.
     """
     x = np.asarray(series, dtype=float)
     return np.ldexp(x, -np.frexp(np.abs(x).max())[1])

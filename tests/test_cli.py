@@ -22,7 +22,7 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import CHUNK_ROWS, write_bundle
+from fracrank.table import CHUNK_ROWS
 
 from conftest import (
     MICRO_CORPUS,
@@ -31,6 +31,7 @@ from conftest import (
     MICRO_Q,
     assert_no_child_left,
     run_python,
+    write_table,
 )
 from test_corpus import GENERATED_QUERY, generated_case
 
@@ -51,8 +52,7 @@ def read_dir(path: Path) -> dict:
 
 
 def write_series(path: Path, values) -> Path:
-    write_bundle(path.parent, {path.name: write_series_csv(values)})
-    return path
+    return write_table(path, write_series_csv(values))
 
 
 # Every accepted --kind spelling, its options, and the generator call it stands for.
@@ -672,6 +672,43 @@ class TestCommit:
         assert tree(out) == before
         assert_no_child_left()
 
+    @pytest.mark.parametrize("command", ["score", "synth"])
+    def test_failed_runner_leaves_out_as_it_was(self, runner, tmp_path, command):
+        """The runner fails after _run has made --out: a fresh --out is removed again."""
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text('{"id": "a", "text": "alpha beta"}\nnot json\n')
+        good, bad, code, message = {
+            "score": (["score", "--corpus", str(MICRO_CORPUS), "--query", "alpha beta"],
+                      ["score", "--corpus", str(corpus), "--query", "alpha"], 1,
+                      "Error: line 2: malformed record"),
+            "synth": (["synth", "--kind", "fgn", "--h", "0.7", "--len", "128"],
+                      ["synth", "--kind", "fgn", "--h", "0.7", "--len", "100"], 2,
+                      "Error: length must be a power of two >= 64"),
+        }[command]
+        out = tmp_path / "out"
+        run_ok(runner, good + ["--out", str(out)])
+        (out / "keep.txt").write_text("untouched")
+        before = tree(out)
+        fresh = tmp_path / "fresh" / "out"
+        for target in (out, fresh):
+            result = runner.invoke(main, bad + ["--out", str(target)], catch_exceptions=False)
+            assert result.exit_code == code
+            assert message in result.output
+        assert tree(out) == before
+        assert not (tmp_path / "fresh").exists()
+
+    def test_out_is_made_before_the_input_is_read(self, runner, tmp_path):
+        """An --out below a regular file is reported, not the bad corpus."""
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text("not json\n")
+        (tmp_path / "file").write_text("a regular file")
+        out = tmp_path / "file" / "out"
+        result = runner.invoke(main, ["score", "--corpus", str(corpus), "--query", "alpha",
+                                      "--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert f"Error: [Errno 20] Not a directory: '{out}'" in result.output
+        assert (tmp_path / "file").read_text() == "a regular file"
+
     def test_no_process_left(self, runner, tmp_path, series):
         run_ok(runner, ["analyze", "--series", str(series), "--out", str(tmp_path / "a")])
         assert_no_child_left()
@@ -886,6 +923,20 @@ def fgn_bundle(tmp_path_factory):
 
 class TestProcess:
     """The CLI as a real process: its exit codes, stderr, forked writer children and files."""
+
+    def test_analyze_never_imports_numpy_ma(self, tmp_path, fgn_bundle):
+        """numpy.ma costs ~10 ms to import, and a fresh analyze process needs none of it."""
+        code = ("import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('fracrank.cli', run_name='__main__')\n"
+                "finally:\n"
+                "    print('numpy.ma imported:', 'numpy.ma' in sys.modules)\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text(generated_case()[1], encoding="utf-8")
+        for option, path in (("--series", fgn_bundle / "sequence.csv"), ("--scores", scores)):
+            result = run_python("-c", code, "analyze", option, path, "--out", tmp_path / option)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines()[-1] == "numpy.ma imported: False", result.stderr
 
     @pytest.mark.parametrize("case", ["analyze_rerun", "flat_series_keeps_out",
                                       "grid_0_keeps_out", "one_value_no_fresh_out",

@@ -17,6 +17,7 @@ from fracrank.fractal import (
     _ols,
     _profile,
     _rescaled_ranges,
+    _unit_scaled,
     _window_basis,
     dfa,
     hurst_pointwise,
@@ -105,12 +106,12 @@ def polyfit_ols(x, y):
 def naive_rs_means(series, windows):
     """Reference R/S curve: textbook R/S of every block, degenerate blocks skipped.
 
-    Blocks are cut from the series divided by the estimators' power of two, and
-    each is divided again by that of its own largest magnitude (exact), so no
-    square underflows however far a block sits below the rest of the series.
+    Blocks are cut from the series as given, and each is divided by the power of
+    two of its own largest magnitude (exact), so no square underflows or
+    overflows however far a block sits from the rest of the series.
     A window whose blocks are all degenerate is dropped, as is one with no block.
     """
-    x = unit_scaled(series)
+    x = np.asarray(series, dtype=float)
     used, means = [], []
     for w in windows:
         vals = []
@@ -540,6 +541,19 @@ def test_scale_sweep_matches_unscaled(name, estimator):
                                    rtol=1e-12, atol=0, err_msg=f"scale {scale!r}")
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_callers_array_never_written(estimator):
+    """A series whose largest magnitude lies in [1/2, 2^400) is used as given, not
+    copied, so no estimator may write into it, here through a tiny block too."""
+    x = np.concatenate([white_noise(512, 1), np.ldexp(white_noise(256, 5), -531),
+                        np.zeros(256)])
+    assert _unit_scaled(x)[0] is x
+    want = x.copy()
+    x.flags.writeable = False
+    estimator(x)
+    np.testing.assert_array_equal(x, want)
+
+
 def test_subnormal_d_named():
     # At 2^-1030 the values are subnormal, and so would be D(n) * 2**e.
     with pytest.raises(DegenerateSeriesError, match="values too small: D\\(n\\)"):
@@ -658,6 +672,22 @@ class TestHurstRegression:
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_with_degenerate_blocks(self, x, data):
         assert_matches_naive_rs(x, windows_for(data, x.size))
+
+    def test_block_of_a_subnormal_value_kept(self):
+        """[5e-324, 0, 0] is not constant: its block counts, at its own power of two.
+
+        The series is used as given (its largest value is 2), so 5e-324 is not
+        flushed to zero."""
+        x = np.zeros(256)
+        x[0] = 5e-324
+        x[128:130] = 1.0, 2.0
+        x[140:200] = white_noise(60, 3)
+        windows = range(3, 49)
+        r = hurst_regression(x, windows=windows)
+        used, means = naive_rs_means(x, windows)
+        np.testing.assert_array_equal(r.rs_windows, used)
+        np.testing.assert_array_equal(r.rs_means, means)
+        assert r.rs_means[0] == 1.3635938040170554
 
     def test_constant_blocks_with_rounded_mean_left_out(self):
         # The 64- and 128-blocks of 0.1s have a float mean off by ~1e-17 and would

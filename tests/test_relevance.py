@@ -16,7 +16,6 @@ from fracrank.relevance import (
     mutual_sequence,
     score_corpus,
 )
-from fracrank.table import write_bundle
 
 from conftest import (
     MICRO_F,
@@ -24,6 +23,7 @@ from conftest import (
     MICRO_Q,
     MICRO_Q_RAW,
     load_brute_force_oracle,
+    write_table,
 )
 
 
@@ -216,7 +216,7 @@ class TestMutualSequence:
 class TestCsvRoundTrip:
     def test_export_header_and_roundtrip(self, micro_table, tmp_path):
         path = tmp_path / "scores.csv"
-        write_bundle(path.parent, {path.name: micro_table.to_csv()})
+        write_table(path, micro_table.to_csv())
         assert path.read_text().splitlines()[0] == "id,raw_f,raw_q,f,q"
         back = RelevanceTable.from_csv(path)
         assert back.ids == micro_table.ids

@@ -17,7 +17,9 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import TableError, write_bundle
+from fracrank.table import TableError
+
+from conftest import write_table
 
 
 def sample_autocov(x, lag):
@@ -217,7 +219,7 @@ class TestPowerLawRanks:
 class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):
         x = white_noise(100, 2)
-        write_bundle(tmp_path, {"series.csv": write_series_csv(x)})
+        write_table(tmp_path / "series.csv", write_series_csv(x))
         back = read_series_csv(tmp_path / "series.csv")
         np.testing.assert_allclose(back, x, rtol=1e-11)
 

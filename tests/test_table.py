@@ -16,10 +16,9 @@ from fracrank.table import (
     format_pairs,
     format_table,
     read_table,
-    write_bundle,
 )
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, write_table
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e22, 1.7976931348623157e308, 1 / 3, -2 / 3,
                1.0, 7.0, -12.0, 123456789012.0, 1e-5, 0.1]
@@ -37,13 +36,13 @@ def oracle_pairs(values) -> bytes:
 
 class TestWriterBytes:
     def test_edge_values(self, tmp_path):
-        write_bundle(tmp_path, {"t.csv": format_table(("value",), [np.array(EDGE_VALUES)])})
+        write_table(tmp_path / "t.csv", format_table(("value",), [np.array(EDGE_VALUES)]))
         assert (tmp_path / "t.csv").read_bytes() == oracle_column(EDGE_VALUES)
 
     def test_integer_column(self, tmp_path):
         n = np.array([4, 16, 1024, 1048576])
         d = np.array([0.5, 1 / 3, 2.0, 1e-9])
-        write_bundle(tmp_path, {"t.csv": format_table(("n", "d"), [n, d])})
+        write_table(tmp_path / "t.csv", format_table(("n", "d"), [n, d]))
         want = "n,d\n" + "".join(f"{int(a)},{b:.12g}\n" for a, b in zip(n, d))
         assert (tmp_path / "t.csv").read_text() == want
 
@@ -51,18 +50,18 @@ class TestWriterBytes:
     def test_chunk_boundary(self, tmp_path, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        write_bundle(tmp_path, {"t.csv": format_table(("value",), [x])})
+        write_table(tmp_path / "t.csv", format_table(("value",), [x]))
         assert (tmp_path / "t.csv").read_bytes() == oracle_column(x)
 
     @pytest.mark.parametrize("n", [2, 3, CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + 2])
     def test_pairs_chunk_boundary(self, tmp_path, n):
         x = np.random.default_rng(n).random(n)
-        write_bundle(tmp_path, {"p.csv": format_pairs(("x", "y"), x)})
+        write_table(tmp_path / "p.csv", format_pairs(("x", "y"), x))
         assert (tmp_path / "p.csv").read_bytes() == oracle_pairs(x)
 
     def test_ids_quoted_only_when_needed(self, tmp_path):
         ids = ("plain", "a,b", 'say "hi"', "x\ny", "cr\rlf", " spaced ")
-        write_bundle(tmp_path, {"t.csv": format_table(("id", "v"), [ids, np.arange(6.0)])})
+        write_table(tmp_path / "t.csv", format_table(("id", "v"), [ids, np.arange(6.0)]))
         assert (tmp_path / "t.csv").read_bytes() == (
             b'id,v\nplain,0\n"a,b",1\n"say ""hi""",2\n"x\ny",3\n"cr\rlf",4\n spaced ,5\n')
         assert read_table(tmp_path / "t.csv", ("id", "v"), text_columns=1)[0] == ids
@@ -72,7 +71,8 @@ class TestWriterBytes:
         x = np.zeros(CHUNK_ROWS + 5)
         x[-1] = bad
         with pytest.raises(TableError, match="non-finite"):
-            write_bundle(tmp_path, {"t.csv": format_table(("value",), [x])})
+            with Bundle(tmp_path) as bundle:
+                bundle.write("t.csv", format_table(("value",), [x]))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -86,7 +86,7 @@ def test_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     ids = tuple(doc_id for doc_id, _ in rows)
     x = np.array([v for _, v in rows])
-    write_bundle(path.parent, {path.name: format_table(("id", "x"), [ids, x])})
+    write_table(path, format_table(("id", "x"), [ids, x]))
     back_ids, back_x = read_table(path, ("id", "x"), text_columns=1)
     assert back_ids == ids
     assert back_x.tolist() == [float("%.12g" % v) for v in x.tolist()]
@@ -188,7 +188,7 @@ class TestReader:
         values = np.arange(n, dtype=float)
         header = ("id", "v") if text_columns else ("value",)
         columns = ([tuple(f"d{i}" for i in range(n))] if text_columns else []) + [values]
-        write_bundle(tmp_path, {"t.csv": format_table(header, columns)})
+        write_table(tmp_path / "t.csv", format_table(header, columns))
         path = tmp_path / "t.csv"
         data = path.read_bytes()
         data = data.replace(b"\n", b"\n\n\r\n", 1)  # blank lines after the header: not rows
