@@ -12,8 +12,8 @@ run leaves ``--out`` as it was.
 its own (POSIX only) as soon as the table's data exists: ``sequence.csv`` once
 the input is read, ``poincare.csv`` once the return map is built. It runs the
 estimators meanwhile, so both CPUs of a 2-vCPU machine stay busy: at 2^20
-values the two tables take about 1.3 s to format and write, DFA and R/S about
-0.6 s. Tables use the one CSV dialect of ``fracrank.table`` and JSON rejects
+values the two tables take about 0.35 s to format and write, DFA and R/S about
+0.4 s. Tables use the one CSV dialect of ``fracrank.table`` and JSON rejects
 non-finite numbers.
 """
 

@@ -17,8 +17,11 @@ the one-row case. The associated fractal dimension of a self-affine record is
 The estimators are scale-free. With e the binary exponent of max|x|, each
 divides its input by 2**e (exact) only when e < 0, which loses nothing, or when
 e > 400, where a square or sum could overflow, so no value of a series in between
-is flushed to zero. R/S is a ratio and needs no undo; DFA multiplies D(n) back by
-2**e and raises DegenerateSeriesError if that is not a normal float.
+is flushed to zero. Above 2**400 a block far below the largest magnitude can be,
+so R/S measures a block or prefix whose S is that small again from the series
+as given, at its own power of two. R/S is a ratio and needs no undo; DFA
+multiplies D(n) back by 2**e and raises DegenerateSeriesError if that is not a
+normal float.
 
 Size-only terms are computed once and shared read-only, with unchanged bits:
 the default window grids (last 16 (lo, hi) pairs) and DFA's regressor k = 1..n
@@ -69,8 +72,8 @@ class HurstResult:
 def _unit_scaled(series) -> tuple[np.ndarray, int]:
     """(x / 2**e, e), e the frexp exponent of max|x|, if e < 0 or e > 400; else (x, 0).
 
-    Only a series whose squares could overflow is scaled down, so no value is
-    flushed to zero; x may be the caller's array, so it is never written to."""
+    Only a series whose squares could overflow is scaled down, and only there can a
+    value be flushed to zero; x may be the caller's array, so it is never written to."""
     x = np.asarray(series, dtype=float)
     e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
     return (x, 0) if 0 <= e <= 400 else (np.ldexp(x, -e), e)
@@ -184,25 +187,29 @@ def _ranges_and_sds(blocks: np.ndarray,
 
 
 def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
-                     ties: bool = True) -> np.ndarray:
+                     ties: bool = True, source: np.ndarray | None = None) -> np.ndarray:
     """R/S of every row of a 2-D block array, leaving out constant rows and rows with S == 0.
 
     The row-mean deviations, written into ``out`` if given, feed both S
     (population form) and the running sums whose range is R, formed in place.
-    A row with S below 2**-500 would have subnormal squares, so it is measured
-    again divided by the power of two of its own largest magnitude (exact).
-    A constant row's float mean can round (tiny S, R/S = w - 1); ``ties=False``
-    skips that constancy test, for a series with no two equal neighbours.
+    A row with S below 2**-500 would have subnormal squares, or was flushed to
+    zero when the series was scaled down, so it is measured again from
+    ``source``, the rows before scaling (``blocks`` if None), divided by the
+    power of two of its own largest magnitude (exact). Constancy is read from
+    ``source`` too. A constant row's float mean can round (tiny S, R/S = w - 1);
+    ``ties=False`` skips that constancy test, for a series with no two equal
+    neighbours.
     """
+    source = blocks if source is None else source
     r, s = _ranges_and_sds(blocks, out)
     tiny = s < 2.0**-500
     if tiny.any():
-        rows = blocks[tiny]
+        rows = source[tiny]
         e = np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1]
         r[tiny], s[tiny] = _ranges_and_sds(np.ldexp(rows, -e))
     usable = s != 0.0
     if ties:
-        usable &= blocks.max(axis=1) != blocks.min(axis=1)
+        usable &= source.max(axis=1) != source.min(axis=1)
     if usable.all():
         return r / s
     return r[usable] / s[usable]
@@ -210,10 +217,11 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
 
 def rs_statistic(series) -> float:
     """Rescaled range R/S with population standard deviation S."""
-    x, _ = _unit_scaled(series)
+    raw = np.asarray(series, dtype=float)
+    x, _ = _unit_scaled(raw)
     if x.size < 2:
         raise ValueError("rs_statistic needs at least 2 points")
-    rs = _rescaled_ranges(x[None, :])
+    rs = _rescaled_ranges(x[None, :], source=raw[None, :])
     if rs.size == 0:
         raise DegenerateSeriesError("degenerate series: constant or zero standard deviation")
     return float(rs[0])
@@ -225,14 +233,15 @@ def hurst_pointwise(series) -> tuple[np.ndarray, list[int]]:
     Returns (points, skipped): points is an (n, 2) array of (N, H(N)) rows, and
     skipped lists the prefix lengths that were constant or had zero standard deviation.
     """
-    x, _ = _unit_scaled(series)
+    raw = np.asarray(series, dtype=float)
+    x, _ = _unit_scaled(raw)
     if x.size < 16:
         raise ValueError("hurst_pointwise needs at least 16 points")
     ties = bool(np.any(x[1:] == x[:-1]))
     points: list[tuple[int, float]] = []
     skipped: list[int] = []
     for n in _geometric_grid(16, x.size):
-        rs = _rescaled_ranges(x[None, :n], ties=ties)
+        rs = _rescaled_ranges(x[None, :n], ties=ties, source=raw[None, :n])
         if rs.size:
             points.append((n, np.log(rs[0]) / np.log(n / 2.0)))
         else:
@@ -248,7 +257,8 @@ def hurst_regression(series, windows=None) -> HurstResult:
     a window with no usable block is dropped. H is the OLS slope of
     log(mean R/S) vs log(w), and h_r2 the R^2 of that fit.
     """
-    x, _ = _unit_scaled(series)
+    raw = np.asarray(series, dtype=float)
+    x, _ = _unit_scaled(raw)
     if x.size < 64:
         raise ValueError("hurst_regression needs at least 64 points")
     if windows is None:
@@ -266,7 +276,8 @@ def hurst_regression(series, windows=None) -> HurstResult:
         w = int(w)
         nblk = x.size // w
         vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w),
-                                scratch[: nblk * w].reshape(nblk, w), ties)
+                                scratch[: nblk * w].reshape(nblk, w), ties,
+                                raw[: nblk * w].reshape(nblk, w))
         if vals.size:
             used_w.append(w)
             means.append(float(vals.sum() / vals.size))

@@ -760,9 +760,10 @@ class TestCommit:
     def test_failed_run_kills_its_writer_child(self, runner, tmp_path, monkeypatch):
         def stuck(column):
             time.sleep(30)
-            return ""
+            raise AssertionError("a stuck writer child was not killed")
 
-        monkeypatch.setattr(fracrank.table, "_lines", stuck)  # the child formats sequence.csv
+        # The child formats sequence.csv.
+        monkeypatch.setattr(fracrank.table, "_number_cells", stuck)
         flat = tmp_path / "flat.csv"
         flat.write_text("value\n" + "1.0\n" * 64)
         start = time.perf_counter()

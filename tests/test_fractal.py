@@ -590,6 +590,27 @@ class TestMixedScales:
         zeroed = dfa(np.concatenate([x, np.zeros(4096)]))
         np.testing.assert_array_equal(dfa(np.concatenate([x, np.ldexp(x, k)])).d, zeroed.d)
 
+    def test_block_flushed_by_scaling_down_kept(self):
+        """A series of 2^401 is scaled down by 2^-402, which flushes a block at 2^-700
+        to zero; R/S measures that block from the series as given."""
+        x = np.concatenate([np.ldexp(white_noise(64, 1), 401), np.ldexp(white_noise(64, 5), -700)])
+        windows = [8, 16, 32, 64]
+        r = hurst_regression(x, windows=windows)
+        used, means = naive_rs_means(x, windows)
+        np.testing.assert_array_equal(r.rs_windows, used)
+        np.testing.assert_array_equal(r.rs_means, means)
+        np.testing.assert_allclose(r.rs_means, [2.639, 4.066, 6.111, 8.596], atol=5e-4)
+
+    def test_prefixes_flushed_by_scaling_down_equal_tiny_part_alone(self):
+        tiny = np.ldexp(white_noise(1024, 5), -700)
+        mixed, mixed_skipped = hurst_pointwise(
+            np.concatenate([tiny, np.ldexp(white_noise(7168, 1), 401)]))
+        alone, _ = hurst_pointwise(tiny)
+        shared = np.intersect1d(mixed[:, 0], alone[:, 0])
+        assert shared.size >= 5 and not mixed_skipped
+        np.testing.assert_array_equal(mixed[np.isin(mixed[:, 0], shared)],
+                                      alone[np.isin(alone[:, 0], shared)])
+
 
 class TestHurstPointwise:
     def test_minimum_length(self):

@@ -31,3 +31,11 @@ def test_verify_micro_corpus_runs():
     assert ast.literal_eval(line.split(":", 1)[1].strip()) == [
         f"{v:.12g}" for v in MICRO_MUTUAL_F_OF_Q
     ]
+
+
+def test_table_speed_runs():
+    result = run_script("table_speed.py", "--length", "4096", "--seed", "3", "--repeat", "1")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split()[0] for line in lines[2:5]] == ["fgn", "cdf", "wide"]
+    assert lines[-1] == "bytes identical"

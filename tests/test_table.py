@@ -2,6 +2,7 @@ import errno
 import os
 import re
 import stat
+import struct
 import time
 
 import numpy as np
@@ -74,6 +75,89 @@ class TestWriterBytes:
             with Bundle(tmp_path) as bundle:
                 bundle.write("t.csv", format_table(("value",), [x]))
         assert list(tmp_path.iterdir()) == []
+
+
+def percent_g(values) -> str:
+    return "".join("%.12g\n" % v for v in values)
+
+
+def powers_of_ten_and_neighbours():
+    """Each power of ten from 1e-5 to 1e16, where "%.12g" changes form or the digit
+    count changes, with the doubles one ulp either side."""
+    powers = [float(f"1e{k}") for k in range(-5, 17)]
+    return [np.nextafter(p, toward) for p in powers for toward in (0.0, np.inf)] + powers
+
+
+NUMBER_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                999999999999.5, 1000000000000.5, 123456789012.5, -123456789012.5,
+                *[np.nextafter(v, toward) for v in (1e-4, 1e12) for toward in (0.0, np.inf)],
+                *powers_of_ten_and_neighbours()]
+
+
+def finite_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+EVERY_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(finite_from_bits).filter(np.isfinite),
+)
+
+
+class TestNumbersMatchPercentG:
+    """Every number cell is the text of ``"%.12g" % value``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(EVERY_FINITE, min_size=1, max_size=40))
+    def test_every_finite_double(self, values):
+        x = np.array(values)
+        assert "".join(format_table(("value",), [x])) == "value\n" + percent_g(x.tolist())
+
+    def test_edges(self):
+        x = np.array(NUMBER_EDGES)
+        assert "".join(format_table(("value",), [x])) == "value\n" + percent_g(NUMBER_EDGES)
+
+    def test_random_bit_patterns(self):
+        x = np.random.default_rng(5).integers(0, 2**64, 200_000, dtype=np.uint64).view(float)
+        x = x[np.isfinite(x)]
+        assert "".join(format_table(("value",), [x])) == "value\n" + percent_g(x.tolist())
+
+    def test_int64_column(self):
+        n = np.array([0, 1, -7, 999_999_999_999, 10**12, 2**53 + 1, -(2**63), 2**63 - 1])
+        assert "".join(format_table(("n",), [n])) == "n\n" + percent_g(n.tolist())
+
+    @pytest.mark.parametrize("n", [CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + 2])
+    def test_pairs_change_form_at_chunk_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        scale = np.where(np.arange(n) % 2 == 0, 1e-7, 1e13)  # exponent form, then fixed
+        scale[CHUNK_ROWS - 3 :: 3] = 0.5
+        x = rng.random(n) * scale
+        x[CHUNK_ROWS - 1] = 1e-5
+        rows = [f"{a},{b}\n" for a, b in zip(percent_g(x).split(), percent_g(x[1:]).split())]
+        assert "".join(format_pairs(("x", "y"), x)) == "x,y\n" + "".join(rows)
+
+
+class TestTextCells:
+    IDS = ("a\x00", "\x00", "two\x00\x00", "", "naïve", "日本語", "é,è", 'q"x', "l\nm\x00",
+           "plain")
+
+    def expected(self, ids, x) -> bytes:
+        quote = [f'"{t.replace(chr(34), chr(34) * 2)}"' if re.search(r'[,"\r\n]', t) else t
+                 for t in ids]
+        return ("id,v\n" + "".join(f"{t},{v:.12g}\n" for t, v in zip(quote, x))).encode()
+
+    def test_nul_non_ascii_and_quoted_ids(self):
+        x = np.arange(len(self.IDS)) / 3.0
+        text = "".join(format_table(("id", "v"), [self.IDS, x]))
+        assert text.encode() == self.expected(self.IDS, x)
+
+    def test_long_id_shortens_the_chunks(self):
+        ids = tuple(f"d{i}" for i in range(1000))
+        ids = ids[:500] + ("x" * 100_000 + "\x00",) + ids[501:]
+        x = np.arange(1000.0)
+        chunks = list(format_table(("id", "v"), [ids, x]))
+        assert len(chunks) > 3  # the header and more than two chunks of rows
+        assert "".join(chunks).encode() == self.expected(ids, x)
 
 
 ID_CHARS = st.characters(codec="utf-8")
