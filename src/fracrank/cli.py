@@ -8,13 +8,12 @@ byte-for-byte. ``_run`` opens one ``fracrank.table.Bundle`` on ``--out``
 before the input is read: each file goes to a temp file beside its target, all
 renamed into place only once every one is written, so a failed or interrupted
 run leaves ``--out`` as it was.
-``analyze`` hands each of its two large tables to a forked writer child of
-its own (POSIX only) as soon as the table's data exists: ``sequence.csv`` once
-the input is read, ``poincare.csv`` once the return map is built. It runs the
-estimators meanwhile, so both CPUs of a 2-vCPU machine stay busy: at 2^20
-values the two tables take about 0.35 s to format and write, DFA and R/S about
-0.4 s. Tables use the one CSV dialect of ``fracrank.table`` and JSON rejects
-non-finite numbers.
+``analyze`` builds the return map first and then hands both of its large
+tables, ``sequence.csv`` and ``poincare.csv``, to one forked writer child
+(POSIX only), which writes them while the estimators run, so both CPUs of a
+2-vCPU machine stay busy: at 2^20 values the two tables take about 0.35 s to
+format and write, DFA and R/S about 0.4 s. Tables use the one CSV dialect of
+``fracrank.table`` and JSON rejects non-finite numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from fracrank.corpus import Query, ingest_jsonl_path
+from fracrank.corpus import CorpusError, Query, ingest_jsonl_path
 from fracrank.fractal import (
     DegenerateSeriesError,
     dfa,
@@ -135,15 +134,11 @@ def _estimate(name: str, estimator, values: np.ndarray, windows):
 
 def run_analyze(options: dict, bundle: Bundle) -> None:
     values = _load_sequence(options)
-    # Each large table is formatted and written by a child of its own,
-    # started as soon as its data exists.
-    bundle.write_in_child("sequence.csv", write_series_csv(values))
-    # The return map comes before the estimators, so that the poincare.csv
-    # child starts early. It needs coordinates in [0,1]; rank-map anything else.
+    # The return map needs coordinates in [0,1]; rank-map anything else.
     cdf_mapped = bool(values.min() < 0.0 or values.max() > 1.0)
     pts = poincare_map(empirical_cdf_map(values) if cdf_mapped else values)
     occ = occupancy_stats(pts, options["grid"])
-    bundle.write_in_child("poincare.csv", pts.to_csv())
+    bundle.write_in_child({"sequence.csv": write_series_csv(values), "poincare.csv": pts.to_csv()})
     curve = _estimate("dfa", dfa, values, options["dfa_windows"])
     hres = _estimate("hurst_regression", hurst_regression, values, options["rs_windows"])
     points, _ = hurst_pointwise(values)
@@ -259,9 +254,18 @@ def _windows(ctx, param, text):
         raise click.BadParameter(f"bad window list {text!r}") from exc
 
 
+def _query(ctx, param, text):
+    """Check that the query holds a term; the text is kept as given, as manifests record it."""
+    try:
+        Query.from_string(text)
+    except CorpusError as exc:
+        raise click.BadParameter(str(exc)) from exc
+    return text
+
+
 @main.command()
 @click.option("--corpus", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--query", required=True, help='Query terms, e.g. "alpha beta".')
+@click.option("--query", required=True, callback=_query, help='Query terms, e.g. "alpha beta".')
 @_out_option
 def score(out, **options):
     """Score a line-delimited JSON corpus against a query; writes scores.csv."""

@@ -10,6 +10,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from fracrank.table import _decode_error_in_file
+
 _SPACE = ord(" ")
 
 # For ASCII text, as one bytes.translate table: every byte that is not a
@@ -22,6 +24,9 @@ _ASCII_NORMAL = bytes.maketrans(_ASCII, bytes(c if chr(c).isalnum() else _SPACE
 # a time. Batches of 64 KiB (more numpy calls) and of 1 MiB (arrays that no
 # longer fit the CPU caches) were slower on the 20k-document bench corpus.
 _BATCH_BYTES = 1 << 18
+
+# A lone one: json.loads joins an escaped surrogate pair into one code point.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class CorpusError(ValueError):
@@ -92,6 +97,8 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[str, bytes]]:
         doc_id = rec["id"]
         if not isinstance(doc_id, str):
             raise CorpusError(f"line {lineno}: 'id' must be a string")
+        if not doc_id.isascii() and _SURROGATE.search(doc_id):  # scores.csv could not hold it
+            raise CorpusError(f"line {lineno}: 'id' holds a lone surrogate, not valid UTF-8")
         if not isinstance(rec["text"], str):
             raise CorpusError(f"line {lineno}: 'text' must be a string")
         if doc_id in seen:
@@ -159,9 +166,9 @@ def ingest_jsonl(lines: Iterable[str], terms: Iterable[str] | None = None) -> tu
     tokens and terms of about ``_BATCH_BYTES`` of normalized text at a time
     are counted in numpy.
     Rejects malformed lines (by line number), documents that tokenize to zero
-    tokens, duplicate ids and empty input; each line is checked as it is read,
-    so the error of the first bad line wins. Other fields, such as ``meta``,
-    are ignored.
+    tokens, duplicate ids, ids that hold a lone surrogate and empty input; each
+    line is checked as it is read, so the error of the first bad line wins.
+    Other fields, such as ``meta``, are ignored.
     """
     docs: list[Document] = []
     if terms is None:
@@ -186,6 +193,13 @@ def ingest_jsonl(lines: Iterable[str], terms: Iterable[str] | None = None) -> tu
 
 
 def ingest_jsonl_path(path, terms: Iterable[str] | None = None) -> tuple[Document, ...]:
-    """ingest_jsonl over a UTF-8 file on disk."""
-    with open(path, encoding="utf-8") as fh:
-        return ingest_jsonl(fh, terms)
+    """ingest_jsonl over a UTF-8 file on disk; a byte that is not UTF-8 is named by its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return ingest_jsonl(fh, terms)
+    except UnicodeDecodeError as exc:
+        whole, lines = _decode_error_in_file(path, exc)
+        # The decoder reads ahead, so the lines before the byte's own may not have been checked.
+        for _ in _records(line.decode("utf-8") for line in lines):
+            pass
+        raise CorpusError(f"line {len(lines) + 1}: {whole}") from exc

@@ -30,9 +30,9 @@ A CLI run writes its files through the one ``Bundle`` that ``fracrank.cli._run``
 opens on ``--out``: each file goes to a temp file beside its target, and the
 temp files are renamed into place only once every one of them has been
 written, so a failed run leaves its output directory as it found it.
-``Bundle.write_in_child`` hands a large table to a forked child (``os.fork``,
-so POSIX only) that formats and writes it while the caller goes on computing;
-a run may start one such child per table.
+``Bundle.write_in_child`` hands a run's large tables to one forked child
+(``os.fork``, so POSIX only) that formats and writes them in turn while the
+caller goes on computing.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import os
 import re
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -212,15 +212,16 @@ def _write(fd: int, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def _write_and_exit(pipe: int, fd: int, chunks: Iterable[str]) -> NoReturn:
-    """The writer child: write ``chunks`` to ``fd``, send any error text down ``pipe``, exit.
+def _write_and_exit(pipe: int, tables: Iterable[tuple[int, Iterable[str]]]) -> NoReturn:
+    """The writer child: write each ``(fd, chunks)``, send any error text down ``pipe``, exit.
 
     ``os._exit`` ends the child without running the caller's cleanup or
     flushing its buffers; the caller reads the pipe and the exit code.
     """
     status = 1
     try:
-        _write(fd, chunks)
+        for fd, chunks in tables:
+            _write(fd, chunks)
         status = 0
     except BaseException as exc:  # the child's top level: an interrupt is reported too
         os.write(pipe, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
@@ -232,13 +233,12 @@ class Bundle:
     """The files of one run in ``outdir``, renamed into place together.
 
     Use it as a context manager. ``write`` writes a file in this process and
-    each ``write_in_child`` call in a forked child of its own, each file to a
+    ``write_in_child`` writes its tables in one forked child, each file to a
     temp file beside its target. Leaving the block normally waits for the
-    children in the order they were started, checks that no target is a
-    directory, and only then renames the temp files into place, with the mode
-    a plain ``open()`` would give them. On any error or interrupt it kills and
-    reaps every child, unlinks the temp files and removes the directories that
-    it created.
+    child, checks that no target is a directory, and only then renames the
+    temp files into place, with the mode a plain ``open()`` would give them.
+    On any error or interrupt it kills and reaps the child, unlinks the temp
+    files and removes the directories that it created.
     """
 
     def __init__(self, outdir) -> None:
@@ -246,7 +246,7 @@ class Bundle:
         # Deepest first: the order in which a failed run removes them.
         self._created = [d for d in (self.outdir, *self.outdir.parents) if not os.path.lexists(d)]
         self._staged: list[tuple[Path, Path]] = []  # (temp file, target)
-        self._children: list[tuple[int, int]] = []  # (pid, read end of its error pipe)
+        self._child: tuple[int, int] | None = None  # (pid, read end of its error pipe)
 
     def __enter__(self) -> "Bundle":
         try:
@@ -278,35 +278,39 @@ class Bundle:
         """Write text chunks to the temp file of ``outdir / name``."""
         _write(self._stage(name), chunks)
 
-    def write_in_child(self, name: str, chunks: Iterable[str]) -> None:
-        """Write text chunks to the temp file of ``outdir / name`` in a new forked child.
+    def write_in_child(self, tables: Mapping[str, Iterable[str]]) -> None:
+        """Write the text chunks of each ``name: chunks`` table, in order, to the temp
+        file of ``outdir / name`` in one new forked child; call it once per bundle.
 
         The caller goes on meanwhile. The chunks are iterated in the child
         only, so lazy chunks (the ``format_*`` generators) are formatted there.
         The child must call no BLAS, which may hold locks that another thread
         took before the fork.
         """
-        fd = self._stage(name)
         read_end, write_end = os.pipe()
+        fds: list[int] = []
         try:
+            for name in tables:
+                fds.append(self._stage(name))
             pid = os.fork()
             if pid == 0:
-                _write_and_exit(write_end, fd, chunks)
-            self._children.append((pid, read_end))
+                _write_and_exit(write_end, zip(fds, tables.values()))
+            self._child = (pid, read_end)
         except BaseException:
             os.close(read_end)
             raise
         finally:  # the parent's copies; the child never gets here
             os.close(write_end)
-            os.close(fd)
+            for fd in fds:
+                os.close(fd)
 
     def _commit(self) -> None:
-        while self._children:
-            pid, pipe = self._children[0]
+        if self._child is not None:
+            pid, pipe = self._child
             with open(pipe, "rb", closefd=False) as fh:
                 message = fh.read().decode("utf-8", "replace")
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del self._children[0]
+            self._child = None
             os.close(pipe)
             if message or code:
                 raise TableError(message or f"table writer child exited with code {code}")
@@ -318,14 +322,14 @@ class Bundle:
         self._staged.clear()
 
     def _abort(self) -> None:
-        if self._children:
+        if self._child is not None:
             import signal  # only a failed run needs it, so importing fracrank.cli does not
 
-            for pid, pipe in self._children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(pipe)
-            self._children.clear()
+            pid, pipe = self._child
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(pipe)
+            self._child = None
         for tmp, _ in self._staged:
             if os.path.lexists(tmp):
                 os.unlink(tmp)
@@ -336,26 +340,19 @@ class Bundle:
                 break
 
 
-def _decode_error(path: Path, header: Sequence[str], exc: UnicodeDecodeError) -> str:
-    """``exc`` located in the file: the codec's message for the whole file, whose
-    position is the byte offset in the file, and the data row that holds the byte.
-
-    The one parser, ``np.loadtxt``, decodes in chunks, so the position in
-    ``exc`` counts from the start of whichever chunk held the byte.
+def _decode_error_in_file(path, exc: UnicodeDecodeError) -> tuple[UnicodeDecodeError, list]:
+    """``exc`` of a reader that decodes ``path`` in chunks, located in the file: the codec's
+    error for the whole file, whose position is the byte offset in the file, and the lines
+    before the one that holds the byte, each with its line end. If the file now decodes,
+    it changed since it was read, and ``exc`` is raised again.
     """
-    data = path.read_bytes()
+    data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as whole:
-        exc = whole
-    else:  # the file changed since it was read
-        return str(exc)
-    lines = data[: exc.start].splitlines(keepends=True)
-    done = [line for line in lines if line.endswith((b"\n", b"\r"))]  # the lines before its own
-    row = 1 + sum(1 for line in done if line.strip(b"\r\n"))
-    if done and done[0].decode("utf-8").strip().lower() == ",".join(header).lower():
-        row -= 1
-    return f"{exc} (row {row})"
+        lines = data[: whole.start].splitlines(keepends=True)
+        return whole, [line for line in lines if line.endswith((b"\n", b"\r"))]
+    raise exc
 
 
 def _convert_error(exc: ValueError) -> str:
@@ -390,7 +387,11 @@ def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list
                               quotechar='"', comments=None, ndmin=1, skiprows=int(has_header),
                               encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise TableError(f"{path.name}: {_decode_error(path, header, exc)}") from exc
+        whole, done = _decode_error_in_file(path, exc)
+        row = 1 + sum(1 for line in done if line.strip(b"\r\n"))  # blank lines are not rows
+        if done and done[0].decode("utf-8").strip().lower() == ",".join(header).lower():
+            row -= 1
+        raise TableError(f"{path.name}: {whole} (row {row})") from exc
     except ValueError as exc:
         raise TableError(f"{path.name}: {_convert_error(exc)}") from exc
     if rows.size == 0:

@@ -178,6 +178,33 @@ class TestScore:
         assert result.exit_code != 0
         assert "query matches nothing" in result.output
 
+    @pytest.mark.parametrize("case", ["lone_surrogate_id", "non_utf8_byte",
+                                      "bad_line_before_non_utf8_byte"])
+    def test_bad_corpus_names_its_line(self, runner, tmp_path, case):
+        lines = [b'{"id": "d%d", "text": "alpha beta"}\n' % i for i in range(2000)]
+        if case == "lone_surrogate_id":
+            lines[1] = b'{"id": "\\ud800", "text": "alpha"}\n'
+            message = "Error: line 2: 'id' holds a lone surrogate, not valid UTF-8"
+        else:  # far past the first chunk that text mode decodes
+            offset = len(b"".join(lines[:1500])) + 2
+            lines[1500] = lines[1500][:2] + b"\xff" + lines[1500][3:]
+            message = (f"Error: line 1501: 'utf-8' codec can't decode byte 0xff in position "
+                       f"{offset}: invalid start byte")
+        if case == "bad_line_before_non_utf8_byte":  # in the chunk that holds the byte
+            lines[1499] = b"not json\n"
+            message = "Error: line 1500: malformed record"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        run_ok(runner, ["score", "--corpus", str(MICRO_CORPUS), "--query", "alpha",
+                        "--out", str(out)])
+        before = tree(out)
+        result = runner.invoke(main, ["score", "--corpus", str(corpus), "--query", "alpha",
+                                      "--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert message in result.output
+        assert tree(out) == before
+
     def test_single_document(self, runner, tmp_path):
         corpus = tmp_path / "one.jsonl"
         corpus.write_text('{"id": "d", "text": "alpha twice alpha"}\n')
@@ -553,13 +580,13 @@ def tree(path: Path) -> dict:
 
 @pytest.fixture
 def started(monkeypatch):
-    """The name of each table handed to a writer child, in the order of the forks."""
+    """The table names of each writer child, one list per fork, in the order of the forks."""
     names = []
     write_in_child = fracrank.table.Bundle.write_in_child
 
-    def recording(bundle, name, chunks):
-        names.append(name)
-        write_in_child(bundle, name, chunks)
+    def recording(bundle, tables):
+        names.append(list(tables))
+        write_in_child(bundle, tables)
 
     monkeypatch.setattr(fracrank.table.Bundle, "write_in_child", recording)
     return names
@@ -591,13 +618,15 @@ class TestOptionValues:
         def forbidden(*args):
             pytest.fail("the input was read or a series generated")
 
-        for name in ("read_series_csv", "white_noise", "fgn", "linear_trend", "power_law_ranks"):
+        for name in ("ingest_jsonl_path", "read_series_csv", "white_noise", "fgn", "linear_trend",
+                     "power_law_ranks"):
             monkeypatch.setattr(f"fracrank.cli.{name}", forbidden)
         return started
 
     def assert_rejected(self, runner, tmp_path, no_work, command, option, value, reason):
         series = write_series(tmp_path / "series.csv", white_noise(256, 1))
         valid = {"analyze": {"--series": str(series)},
+                 "score": {"--corpus": str(MICRO_CORPUS), "--query": "alpha"},
                  "synth": {"--kind": "linear", "--slope": 1, "--intercept": 0, "--len": 64}}
         options = {**valid[command], option: value}
         out = tmp_path / "out"
@@ -629,6 +658,10 @@ class TestOptionValues:
     def test_non_finite_is_usage_error(self, runner, tmp_path, no_work, command, option, value):
         self.assert_rejected(runner, tmp_path, no_work, command, option, value,
                              f"{value} is not a finite number")
+
+    def test_query_without_a_term_is_usage_error(self, runner, tmp_path, no_work):
+        self.assert_rejected(runner, tmp_path, no_work, "score", "--query", "!!!",
+                             "query must contain at least one term")
 
     def test_help_shows_each_range(self, runner):
         analyze = run_ok(runner, ["analyze", "--help"]).output
@@ -721,38 +754,27 @@ class TestCommit:
         assert not (tmp_path / "b").exists()
         assert_no_child_left()
 
-    def test_bad_grid_starts_no_writer_child(self, runner, tmp_path, series, started):
+    @pytest.mark.parametrize("case", ["bad_grid", "one_value_series"])
+    def test_early_failure_starts_no_writer_child(self, runner, tmp_path, series, started, case):
         out = tmp_path / "out"
         run_ok(runner, ["analyze", "--series", str(series), "--out", str(out)])
+        assert started == [["sequence.csv", "poincare.csv"]]  # one child writes both tables
         (out / "keep.txt").write_text("untouched")
         before = tree(out)
         started.clear()
+        args, code, message = {
+            "bad_grid": (["--series", str(series), "--grid", "0"], 2,
+                         "Error: Invalid value for '--grid': 0 is not in the range"),
+            "one_value_series": (["--series", str(write_series(tmp_path / "one.csv", [0.5]))], 1,
+                                 "Error: poincare_map needs at least 2 values"),
+        }[case]
         fresh = tmp_path / "fresh" / "out"
         for target in (out, fresh):
-            result = runner.invoke(main, ["analyze", "--series", str(series), "--grid", "0",
-                                          "--out", str(target)], catch_exceptions=False)
-            assert result.exit_code == 2
-            assert "Error: Invalid value for '--grid': 0 is not in the range" in result.output
-        assert started == []
-        assert tree(out) == before
-        assert not (tmp_path / "fresh").exists()
-        assert_no_child_left()
-
-    def test_one_value_series_fails_after_the_first_writer_child(self, runner, tmp_path, series,
-                                                                 started):
-        out = tmp_path / "out"
-        run_ok(runner, ["analyze", "--series", str(series), "--out", str(out)])
-        (out / "keep.txt").write_text("untouched")
-        before = tree(out)
-        started.clear()
-        one = write_series(tmp_path / "one.csv", [0.5])
-        fresh = tmp_path / "fresh" / "out"
-        for target in (out, fresh):
-            result = runner.invoke(main, ["analyze", "--series", str(one), "--out", str(target)],
+            result = runner.invoke(main, ["analyze", *args, "--out", str(target)],
                                    catch_exceptions=False)
-            assert result.exit_code == 1
-            assert "Error: poincare_map needs at least 2 values" in result.output
-        assert started == ["sequence.csv", "sequence.csv"]  # a child ran in each failed run
+            assert result.exit_code == code
+            assert message in result.output
+        assert started == []
         assert tree(out) == before
         assert not (tmp_path / "fresh").exists()
         assert_no_child_left()
@@ -762,7 +784,7 @@ class TestCommit:
             time.sleep(30)
             raise AssertionError("a stuck writer child was not killed")
 
-        # The child formats sequence.csv.
+        # The child formats sequence.csv first.
         monkeypatch.setattr(fracrank.table, "_number_cells", stuck)
         flat = tmp_path / "flat.csv"
         flat.write_text("value\n" + "1.0\n" * 64)
@@ -923,7 +945,7 @@ def fgn_bundle(tmp_path_factory):
 
 
 class TestProcess:
-    """The CLI as a real process: its exit codes, stderr, forked writer children and files."""
+    """The CLI as a real process: its exit codes, stderr, forked writer child and files."""
 
     def test_analyze_never_imports_numpy_ma(self, tmp_path, fgn_bundle):
         """numpy.ma costs ~10 ms to import, and a fresh analyze process needs none of it."""
@@ -954,14 +976,14 @@ class TestProcess:
             run_cli("score", "--corpus", corpus, "--query", GENERATED_QUERY, "--out", out)
             assert (out / "scores.csv").read_bytes() == expected.encode()
         elif case == "one_value_no_fresh_out":
-            # Fails in poincare_map after the sequence.csv writer child has started.
+            # Fails in poincare_map, before the writer child is started.
             one = write_series(tmp_path / "one.csv", [0.5])
             run_cli("analyze", "--series", one, "--out", out, code=1)
             assert not out.exists()
         else:
             before = tree(shutil.copytree(fgn_bundle, out))
             if case == "flat_series_keeps_out":
-                # Fails in dfa after both writer children have started.
+                # Fails in dfa after the writer child has started.
                 flat = tmp_path / "flat.csv"
                 flat.write_text("value\n" + "1.0\n" * 64)
                 run_cli("analyze", "--series", flat, "--out", out, code=1)

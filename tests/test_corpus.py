@@ -258,6 +258,7 @@ class TestIngest:
         "malformed": ('{"id": "m", "text": ', "malformed record"),
         "duplicate": ('{"id": "d0", "text": "b"}', "duplicate document id 'd0'"),
         "text_not_str": ('{"id": "n", "text": 7}', "'text' must be a string"),
+        "surrogate_id": ('{"id": "\\ud800", "text": "a"}', "'id' holds a lone surrogate"),
     }
 
     @pytest.mark.parametrize("terms", [None, ("a", "b")])
