@@ -14,14 +14,14 @@ non-overlapping blocks and R/S is computed row-wise in one pass; a prefix is
 the one-row case. The associated fractal dimension of a self-affine record is
 2 - H.
 
-The estimators are scale-free. With e the binary exponent of max|x|, each
-divides its input by 2**e (exact) only when e < 0, which loses nothing, or when
-e > 400, where a square or sum could overflow, so no value of a series in between
-is flushed to zero. Above 2**400 a block far below the largest magnitude can be,
-so R/S measures a block or prefix whose S is that small again from the series
-as given, at its own power of two. R/S is a ratio and needs no undo; DFA
-multiplies D(n) back by 2**e and raises DegenerateSeriesError if that is not a
-normal float.
+The estimators are scale-free. DFA pools its residuals over one profile, so it
+scales globally: with e the binary exponent of max|x|, it divides the series by
+2**e (exact) only when e < 0, which loses nothing, or when e > 400, where a square
+or sum could overflow, then multiplies D(n) back by 2**e and raises
+DegenerateSeriesError if that is not a normal float. R/S is a ratio per block or
+prefix, so it reads the series as given and measures a row again, divided by the
+power of two of its own largest magnitude, only when the row's S is outside
+[2**-500, 2**500]; no block is flushed to zero at another block's scale.
 
 Size-only terms are computed once and shared read-only, with unchanged bits:
 the default window grids (last 16 (lo, hi) pairs) and DFA's regressor k = 1..n
@@ -70,10 +70,9 @@ class HurstResult:
 
 
 def _unit_scaled(series) -> tuple[np.ndarray, int]:
-    """(x / 2**e, e), e the frexp exponent of max|x|, if e < 0 or e > 400; else (x, 0).
-
-    Only a series whose squares could overflow is scaled down, and only there can a
-    value be flushed to zero; x may be the caller's array, so it is never written to."""
+    """DFA's global scale: (x / 2**e, e), e the frexp exponent of max|x|, if e < 0 or
+    e > 400; else (x, 0). Only a series whose squares could overflow is scaled down,
+    and only there can a value be flushed to zero; x may be the caller's, never written."""
     x = np.asarray(series, dtype=float)
     e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
     return (x, 0) if 0 <= e <= 400 else (np.ldexp(x, -e), e)
@@ -187,29 +186,27 @@ def _ranges_and_sds(blocks: np.ndarray,
 
 
 def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
-                     ties: bool = True, source: np.ndarray | None = None) -> np.ndarray:
+                     ties: bool = True) -> np.ndarray:
     """R/S of every row of a 2-D block array, leaving out constant rows and rows with S == 0.
 
     The row-mean deviations, written into ``out`` if given, feed both S
     (population form) and the running sums whose range is R, formed in place.
-    A row with S below 2**-500 would have subnormal squares, or was flushed to
-    zero when the series was scaled down, so it is measured again from
-    ``source``, the rows before scaling (``blocks`` if None), divided by the
-    power of two of its own largest magnitude (exact). Constancy is read from
-    ``source`` too. A constant row's float mean can round (tiny S, R/S = w - 1);
-    ``ties=False`` skips that constancy test, for a series with no two equal
-    neighbours.
+    Rows are measured as given; a row whose S is outside [2**-500, 2**500]
+    (its squares would be subnormal or overflow, or S is inf or NaN) is measured
+    again divided by the power of two of its own largest magnitude (exact), so
+    the caller runs the first pass under np.errstate(over/invalid="ignore").
+    A constant row's float mean can round (tiny S, R/S = w - 1); ``ties=False``
+    skips that constancy test, for a series with no two equal neighbours.
     """
-    source = blocks if source is None else source
     r, s = _ranges_and_sds(blocks, out)
-    tiny = s < 2.0**-500
-    if tiny.any():
-        rows = source[tiny]
+    if not 2.0**-500 <= s.min() <= s.max() <= 2.0**500:  # also when an S is NaN
+        redo = ~((2.0**-500 <= s) & (s <= 2.0**500))
+        rows = blocks[redo]
         e = np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1]
-        r[tiny], s[tiny] = _ranges_and_sds(np.ldexp(rows, -e))
+        r[redo], s[redo] = _ranges_and_sds(np.ldexp(rows, -e))
     usable = s != 0.0
     if ties:
-        usable &= source.max(axis=1) != source.min(axis=1)
+        usable &= blocks.max(axis=1) != blocks.min(axis=1)
     if usable.all():
         return r / s
     return r[usable] / s[usable]
@@ -217,11 +214,11 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
 
 def rs_statistic(series) -> float:
     """Rescaled range R/S with population standard deviation S."""
-    raw = np.asarray(series, dtype=float)
-    x, _ = _unit_scaled(raw)
+    x = np.asarray(series, dtype=float)
     if x.size < 2:
         raise ValueError("rs_statistic needs at least 2 points")
-    rs = _rescaled_ranges(x[None, :], source=raw[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rs = _rescaled_ranges(x[None, :])
     if rs.size == 0:
         raise DegenerateSeriesError("degenerate series: constant or zero standard deviation")
     return float(rs[0])
@@ -233,19 +230,19 @@ def hurst_pointwise(series) -> tuple[np.ndarray, list[int]]:
     Returns (points, skipped): points is an (n, 2) array of (N, H(N)) rows, and
     skipped lists the prefix lengths that were constant or had zero standard deviation.
     """
-    raw = np.asarray(series, dtype=float)
-    x, _ = _unit_scaled(raw)
+    x = np.asarray(series, dtype=float)
     if x.size < 16:
         raise ValueError("hurst_pointwise needs at least 16 points")
     ties = bool(np.any(x[1:] == x[:-1]))
     points: list[tuple[int, float]] = []
     skipped: list[int] = []
-    for n in _geometric_grid(16, x.size):
-        rs = _rescaled_ranges(x[None, :n], ties=ties, source=raw[None, :n])
-        if rs.size:
-            points.append((n, np.log(rs[0]) / np.log(n / 2.0)))
-        else:
-            skipped.append(int(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in _geometric_grid(16, x.size):
+            rs = _rescaled_ranges(x[None, :n], ties=ties)
+            if rs.size:
+                points.append((n, np.log(rs[0]) / np.log(n / 2.0)))
+            else:
+                skipped.append(int(n))
     return np.array(points, dtype=float).reshape(-1, 2), skipped
 
 
@@ -257,8 +254,7 @@ def hurst_regression(series, windows=None) -> HurstResult:
     a window with no usable block is dropped. H is the OLS slope of
     log(mean R/S) vs log(w), and h_r2 the R^2 of that fit.
     """
-    raw = np.asarray(series, dtype=float)
-    x, _ = _unit_scaled(raw)
+    x = np.asarray(series, dtype=float)
     if x.size < 64:
         raise ValueError("hurst_regression needs at least 64 points")
     if windows is None:
@@ -272,15 +268,15 @@ def hurst_regression(series, windows=None) -> HurstResult:
     means: list[float] = []
     scratch = np.empty(x.size)
     ties = bool(np.any(x[1:] == x[:-1]))
-    for w in windows:
-        w = int(w)
-        nblk = x.size // w
-        vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w),
-                                scratch[: nblk * w].reshape(nblk, w), ties,
-                                raw[: nblk * w].reshape(nblk, w))
-        if vals.size:
-            used_w.append(w)
-            means.append(float(vals.sum() / vals.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in windows:
+            w = int(w)
+            nblk = x.size // w
+            vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w),
+                                    scratch[: nblk * w].reshape(nblk, w), ties)
+            if vals.size:
+                used_w.append(w)
+                means.append(float(vals.sum() / vals.size))
     if len(used_w) < 4:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 usable windows")
     w_arr = np.asarray(used_w, dtype=float)

@@ -30,13 +30,18 @@ def run_python(*args) -> subprocess.CompletedProcess:
                           timeout=120, env=dict(os.environ, PYTHONPATH=path))
 
 
-def load_brute_force_oracle():
-    """scripts/verify_micro_corpus.py as a module (a scorer independent of fracrank)."""
-    path = ROOT / "scripts" / "verify_micro_corpus.py"
-    spec = importlib.util.spec_from_file_location("verify_micro_corpus", path)
+def load_script(name: str):
+    """scripts/<name> as a module."""
+    path = ROOT / "scripts" / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_brute_force_oracle():
+    """scripts/verify_micro_corpus.py as a module (a scorer independent of fracrank)."""
+    return load_script("verify_micro_corpus.py")
 
 
 @pytest.fixture(scope="session")

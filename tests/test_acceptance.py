@@ -14,14 +14,15 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats
 
-from fracrank.cli import main as cli_main
+from fracrank.cli import _g12, main as cli_main
 from fracrank.corpus import Query, ingest_jsonl_path
 from fracrank.fractal import dfa, hurst_regression, rs_statistic
 from fracrank.rankstats import empirical_cdf_map, occupancy_stats, poincare_map, zipf_fit
 from fracrank.relevance import Measure, mutual_sequence, score_corpus
-from fracrank.synth import fgn, power_law_ranks, white_noise
+from fracrank.synth import fgn, power_law_ranks, read_series_csv, white_noise
 
-from conftest import MICRO_CORPUS, load_brute_force_oracle, textbook_rs, unit_scaled
+from conftest import (MICRO_CORPUS, load_brute_force_oracle, load_script, textbook_rs,
+                      unit_scaled)
 
 N_SEEDS = 50
 SERIES_LEN = 8192
@@ -200,3 +201,28 @@ def test_cli_reproducibility(tmp_path):
     r = runner.invoke(cli_main, ["rerun", str(e / "manifest.json"), "--out", str(f)])
     ok &= r.exit_code == 0 and read_dir(e) == read_dir(f)
     report("CLI manifest reproducibility (byte-identical reruns)", ok)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.9])
+def test_planted_corpus_read_back(tmp_path, h):
+    """score, then analyze --scores ranked by q, reads a planted fGn back in order:
+    alpha and H are the estimators' on s = m / max(m) at the 12 digits of scores.csv."""
+    corpora = load_script("corpora.py")
+    lines, m = corpora.planted_corpus(1024, h, 3)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    runner = CliRunner()
+    r = runner.invoke(cli_main, ["score", "--corpus", str(corpus), "--query", corpora.TERM,
+                                 "--out", str(tmp_path / "s")])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(cli_main, ["analyze", "--scores", str(tmp_path / "s" / "scores.csv"),
+                                 "--ranked-by", "q", "--read-off", "f",
+                                 "--out", str(tmp_path / "a")])
+    assert r.exit_code == 0, r.output
+    s = np.array([float(f"{v:.12g}") for v in (m / m.max()).tolist()])
+    np.testing.assert_array_equal(read_series_csv(tmp_path / "a" / "sequence.csv"), s)
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    got = summary["alpha"], summary["h_regression"]
+    want = _g12(dfa(s).alpha), _g12(hurst_regression(s).h_regression)
+    report(f"planted H={h} read back through score and analyze", got == want,
+           f"alpha, H {got}; estimators on m / max(m) {want}")

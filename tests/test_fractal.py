@@ -16,6 +16,7 @@ from fracrank.fractal import (
     _line_fit,
     _ols,
     _profile,
+    _ranges_and_sds,
     _rescaled_ranges,
     _unit_scaled,
     _window_basis,
@@ -491,8 +492,9 @@ def scale_free_outputs(estimator, x, scale):
 
 
 class TestHugeValues:
-    """Squares and sums of ~1e200 would leave the float range, but the estimators
-    work on the series divided by a power of two; only a D(n) beyond it is named."""
+    """Squares and sums of ~1e200 would leave the float range, but DFA divides the
+    series by a power of two and R/S measures each such block or prefix again at its
+    own; only a D(n) beyond the float range is named."""
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_overflow_named(self, estimator):
@@ -543,15 +545,18 @@ def test_scale_sweep_matches_unscaled(name, estimator):
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_callers_array_never_written(estimator):
-    """A series whose largest magnitude lies in [1/2, 2^400) is used as given, not
-    copied, so no estimator may write into it, here through a tiny block too."""
-    x = np.concatenate([white_noise(512, 1), np.ldexp(white_noise(256, 5), -531),
-                        np.zeros(256)])
-    assert _unit_scaled(x)[0] is x
-    want = x.copy()
-    x.flags.writeable = False
-    estimator(x)
-    np.testing.assert_array_equal(x, want)
+    """R/S reads every series as given, and DFA one whose largest magnitude lies in
+    [1/2, 2^400), not a copy, so no estimator may write into it, here through a tiny
+    block too, and at 2^-600 and 2^600, where DFA works on a scaled copy."""
+    base = np.concatenate([white_noise(512, 1), np.ldexp(white_noise(256, 5), -531),
+                           np.zeros(256)])
+    assert _unit_scaled(base)[0] is base
+    for scale in (1.0, 2.0**-600, 2.0**600):
+        x = base * scale
+        want = x.copy()
+        x.flags.writeable = False
+        estimator(x)
+        np.testing.assert_array_equal(x, want, err_msg=f"scale {scale!r}")
 
 
 def test_subnormal_d_named():
@@ -572,6 +577,18 @@ class TestMixedScales:
         assert rs.size == 2
         assert rs[1] == rs_statistic(tiny)
 
+    def test_huge_and_tiny_blocks_each_equal_block_alone(self):
+        """At 2^1000 a block's squares overflow and at 2^-1000 they are 0: one call
+        measures both blocks again, each at its own power of two."""
+        blocks = np.stack([np.ldexp(white_noise(64, 1), 1000), np.ldexp(white_noise(64, 5), -1000)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, s = _ranges_and_sds(blocks)
+            rs = _rescaled_ranges(blocks)
+        assert not s[0] <= 2.0**500 and s[1] < 2.0**-500
+        np.testing.assert_array_equal(rs, [rs_statistic(blocks[0]), rs_statistic(blocks[1])])
+        assert rs[0] == rs_statistic(white_noise(64, 1))
+        assert rs[1] == rs_statistic(white_noise(64, 5))
+
     @pytest.mark.parametrize("k", [-531, -565])
     def test_tiny_prefixes_equal_tiny_part_alone(self, k):
         tiny = np.ldexp(white_noise(1024, 5), k)
@@ -591,8 +608,8 @@ class TestMixedScales:
         np.testing.assert_array_equal(dfa(np.concatenate([x, np.ldexp(x, k)])).d, zeroed.d)
 
     def test_block_flushed_by_scaling_down_kept(self):
-        """A series of 2^401 is scaled down by 2^-402, which flushes a block at 2^-700
-        to zero; R/S measures that block from the series as given."""
+        """Scaled down by 2^-402, as DFA scales it, a series of 2^401 would flush a
+        block at 2^-700 to zero; R/S reads the series as given and keeps that block."""
         x = np.concatenate([np.ldexp(white_noise(64, 1), 401), np.ldexp(white_noise(64, 5), -700)])
         windows = [8, 16, 32, 64]
         r = hurst_regression(x, windows=windows)

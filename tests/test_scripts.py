@@ -5,6 +5,7 @@ its next manual run.
 """
 
 import ast
+import json
 import math
 import subprocess
 
@@ -39,3 +40,15 @@ def test_table_speed_runs():
     lines = result.stdout.splitlines()
     assert [line.split()[0] for line in lines[2:5]] == ["fgn", "cdf", "wide"]
     assert lines[-1] == "bytes identical"
+
+
+def test_corpora_runs(tmp_path):
+    out = tmp_path / "corpus.jsonl"
+    result = run_script("corpora.py", "--h", "0.75", "--len", "64", "--seed", "1",
+                        "--out", out, "--counts")
+    assert result.returncode == 0, result.stderr
+    m = [int(v) for v in result.stdout.split()]
+    docs = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert len(m) == len(docs) == 64 and min(m) >= 1
+    assert [d["id"] for d in docs] != [f"d{i}" for i in range(64)]
+    assert sorted(d["text"].split().count("planted") for d in docs) == sorted(m)
