@@ -12,7 +12,7 @@ sequence alone, which is a scaled copy of the integer-rounded fGn.
 
     python3 scripts/corpora.py --h 0.9 --len 1024 --seed 3 --out corpus.jsonl
 
-prints the planted counts m, one per line in planted order, with ``--counts``.
+Document d{i} holds m_i copies of the term, so the file itself records m.
 """
 
 import argparse
@@ -72,13 +72,10 @@ def main():
     parser.add_argument("--len", type=int, default=1024, help="documents, a power of two >= 64")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="the JSONL corpus to write")
-    parser.add_argument("--counts", action="store_true", help="print m in planted order")
     args = parser.parse_args()
-    lines, m = planted_corpus(args.len, args.h, args.seed)
+    lines, _ = planted_corpus(args.len, args.h, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
-    if args.counts:
-        print("\n".join(map(str, m.tolist())))
 
 
 if __name__ == "__main__":

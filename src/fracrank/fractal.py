@@ -194,7 +194,8 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
     Rows are measured as given; a row whose S is outside [2**-500, 2**500]
     (its squares would be subnormal or overflow, or S is inf or NaN) is measured
     again divided by the power of two of its own largest magnitude (exact), so
-    the caller runs the first pass under np.errstate(over/invalid="ignore").
+    the caller runs the first pass under np.errstate(over/invalid="ignore"); an S
+    still not finite then (an inf or NaN in the row) raises DegenerateSeriesError.
     A constant row's float mean can round (tiny S, R/S = w - 1); ``ties=False``
     skips that constancy test, for a series with no two equal neighbours.
     """
@@ -204,6 +205,8 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
         rows = blocks[redo]
         e = np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1]
         r[redo], s[redo] = _ranges_and_sds(np.ldexp(rows, -e))
+        if not np.isfinite(s[redo]).all():
+            raise DegenerateSeriesError("non-finite value in the series: R/S undefined")
     usable = s != 0.0
     if ties:
         usable &= blocks.max(axis=1) != blocks.min(axis=1)

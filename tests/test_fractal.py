@@ -559,6 +559,17 @@ def test_callers_array_never_written(estimator):
         np.testing.assert_array_equal(x, want, err_msg=f"scale {scale!r}")
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("estimator", [hurst_regression, hurst_pointwise, rs_statistic])
+def test_non_finite_value_named(estimator, value):
+    """An inf or NaN leaves S undefined even measured again at the row's own power
+    of two, so R/S names it instead of returning NaN."""
+    x = white_noise(1024, 1)
+    x[700] = value
+    with pytest.raises(DegenerateSeriesError, match="non-finite value in the series"):
+        estimator(x)
+
+
 def test_subnormal_d_named():
     # At 2^-1030 the values are subnormal, and so would be D(n) * 2**e.
     with pytest.raises(DegenerateSeriesError, match="values too small: D\\(n\\)"):

@@ -9,7 +9,7 @@ import json
 import math
 import subprocess
 
-from conftest import MICRO_MUTUAL_F_OF_Q, ROOT, run_python
+from conftest import MICRO_MUTUAL_F_OF_Q, ROOT, load_script, run_python
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -45,10 +45,11 @@ def test_table_speed_runs():
 def test_corpora_runs(tmp_path):
     out = tmp_path / "corpus.jsonl"
     result = run_script("corpora.py", "--h", "0.75", "--len", "64", "--seed", "1",
-                        "--out", out, "--counts")
+                        "--out", out)
     assert result.returncode == 0, result.stderr
-    m = [int(v) for v in result.stdout.split()]
     docs = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
-    assert len(m) == len(docs) == 64 and min(m) >= 1
     assert [d["id"] for d in docs] != [f"d{i}" for i in range(64)]
-    assert sorted(d["text"].split().count("planted") for d in docs) == sorted(m)
+    m = {int(d["id"][1:]): d["text"].split().count("planted") for d in docs}
+    assert sorted(m) == list(range(64))
+    want = load_script("corpora.py").planted_counts(64, 0.75, 1)
+    assert [m[i] for i in range(64)] == want.tolist() and min(m.values()) >= 1
