@@ -14,14 +14,15 @@ non-overlapping blocks and R/S is computed row-wise in one pass; a prefix is
 the one-row case. The associated fractal dimension of a self-affine record is
 2 - H.
 
-The estimators are scale-free. DFA pools its residuals over one profile, so it
-scales globally: with e the binary exponent of max|x|, it divides the series by
-2**e (exact) only when e < 0, which loses nothing, or when e > 400, where a square
-or sum could overflow, then multiplies D(n) back by 2**e and raises
-DegenerateSeriesError if that is not a normal float. R/S is a ratio per block or
-prefix, so it reads the series as given and measures a row again, divided by the
-power of two of its own largest magnitude, only when the row's S is outside
-[2**-500, 2**500]; no block is flushed to zero at another block's scale.
+The estimators are scale-free, and each raises DegenerateSeriesError on an inf or
+NaN in the series. DFA pools its residuals over one profile, so it scales globally:
+from one min and one max of the series, with e the binary exponent of max|x|, it
+divides the series by 2**e (exact) only when e < 0, which loses nothing, or when
+e > 400, where a square or sum could overflow, then multiplies D(n) back by 2**e
+and raises DegenerateSeriesError if that is not a normal float. R/S is a ratio
+per block or prefix, so it reads the series as given and measures a row again,
+divided by the power of two of its own largest magnitude, only when the row's S
+is outside [2**-500, 2**500]; no block is flushed to zero at another block's scale.
 
 Size-only terms are computed once and shared read-only, with unchanged bits:
 the default window grids (last 16 (lo, hi) pairs) and DFA's regressor k = 1..n
@@ -67,15 +68,6 @@ class HurstResult:
     rs_windows: np.ndarray
     rs_means: np.ndarray
     h_r2: float
-
-
-def _unit_scaled(series) -> tuple[np.ndarray, int]:
-    """DFA's global scale: (x / 2**e, e), e the frexp exponent of max|x|, if e < 0 or
-    e > 400; else (x, 0). Only a series whose squares could overflow is scaled down,
-    and only there can a value be flushed to zero; x may be the caller's, never written."""
-    x = np.asarray(series, dtype=float)
-    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
-    return (x, 0) if 0 <= e <= 400 else (np.ldexp(x, -e), e)
 
 
 def _profile(series) -> np.ndarray:
@@ -134,13 +126,20 @@ def dfa(series, windows=None) -> FluctuationCurve:
 
     D(n) is the RMS over all retained profile points of the detrended
     residuals; alpha is the OLS slope of log10 D vs log10 n over at least 4
-    distinct windows.
+    distinct windows. Before the windows the series is read through one min and one
+    max, which name an inf or NaN and a constant series (DegenerateSeriesError) and
+    give the global scale 2**e; the caller's array is never written.
     """
-    x, e = _unit_scaled(series)
+    x = np.asarray(series, dtype=float)
     if x.size < 16:
         raise ValueError("dfa needs at least 16 points")
-    if np.ptp(x) == 0.0:
+    lo, hi = x.min(), x.max()
+    if not -np.inf < lo <= hi < np.inf:  # also when one is NaN
+        raise DegenerateSeriesError("non-finite value in the series: DFA undefined")
+    if lo == hi:
         raise DegenerateSeriesError("zero fluctuation: series is constant")
+    e = int(np.frexp(max(-lo, hi))[1])  # the binary exponent of max|x|
+    x, e = (x, 0) if 0 <= e <= 400 else (np.ldexp(x, -e), e)
     if windows is None:
         windows = _geometric_grid(4, x.size // 4)
     windows = np.array(sorted(set(np.asarray(windows, dtype=int).ravel().tolist())), dtype=int)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,16 @@ def write_table(path, chunks) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
     return path
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def unit_scaled(series):

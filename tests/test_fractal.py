@@ -18,7 +18,6 @@ from fracrank.fractal import (
     _profile,
     _ranges_and_sds,
     _rescaled_ranges,
-    _unit_scaled,
     _window_basis,
     dfa,
     hurst_pointwise,
@@ -27,7 +26,7 @@ from fracrank.fractal import (
 )
 from fracrank.synth import fgn, white_noise
 
-from conftest import textbook_rs, unit_scaled
+from conftest import textbook_rs, traced_peak, unit_scaled
 
 finite_series = npst.arrays(
     np.float64,
@@ -547,10 +546,15 @@ def test_scale_sweep_matches_unscaled(name, estimator):
 def test_callers_array_never_written(estimator):
     """R/S reads every series as given, and DFA one whose largest magnitude lies in
     [1/2, 2^400), not a copy, so no estimator may write into it, here through a tiny
-    block too, and at 2^-600 and 2^600, where DFA works on a scaled copy."""
+    block too, and at 2^-600 and 2^600, where DFA works on a scaled copy. That DFA
+    makes no copy of such a series shows in its traced peak: at least base.nbytes
+    below its peak on base * 2^-600, which it must scale."""
     base = np.concatenate([white_noise(512, 1), np.ldexp(white_noise(256, 5), -531),
                            np.zeros(256)])
-    assert _unit_scaled(base)[0] is base
+    if estimator is dfa:
+        tiny = base * 2.0**-600
+        dfa(base)  # fills the window caches both calls share
+        assert traced_peak(lambda: dfa(base)) + base.nbytes <= traced_peak(lambda: dfa(tiny))
     for scale in (1.0, 2.0**-600, 2.0**600):
         x = base * scale
         want = x.copy()
@@ -560,10 +564,11 @@ def test_callers_array_never_written(estimator):
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
-@pytest.mark.parametrize("estimator", [hurst_regression, hurst_pointwise, rs_statistic])
+@pytest.mark.parametrize("estimator", [dfa, hurst_regression, hurst_pointwise, rs_statistic])
 def test_non_finite_value_named(estimator, value):
     """An inf or NaN leaves S undefined even measured again at the row's own power
-    of two, so R/S names it instead of returning NaN."""
+    of two, so R/S names it instead of returning NaN; DFA names it from the series'
+    min and max, before any arithmetic."""
     x = white_noise(1024, 1)
     x[700] = value
     with pytest.raises(DegenerateSeriesError, match="non-finite value in the series"):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,7 @@ from fracrank.synth import (
 )
 from fracrank.table import TableError
 
-from conftest import write_table
+from conftest import traced_peak, write_table
 
 
 def sample_autocov(x, lag):
@@ -53,16 +51,6 @@ def assert_same_bits(got, want):
     """Equal values and equal signs, so that -0.0 and +0.0 count as different."""
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
-def traced_peak(call):
-    """Peak bytes that tracemalloc traces while ``call()`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # Twelve (length, H) pairs, more than the spectrum cache holds, with H
