@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from fracrank.synth import fgn
+from fracrank.table import as_written
 
 TERM, FILLER = "planted", "x"
 
@@ -49,7 +50,7 @@ def planted_lengths(m: np.ndarray) -> np.ndarray:
         lengths[i] = math.floor(c * log * (1 + _GAP)) + 1
         c = lengths[i] / log
     q = logs / lengths
-    q12 = np.array([float(f"{v:.12g}") for v in (q / q.max()).tolist()])
+    q12 = np.array([as_written(v) for v in (q / q.max()).tolist()])
     if not (np.diff(q12) < 0).all():
         raise ValueError("planted lengths do not order Q strictly at 12 digits")
     return lengths

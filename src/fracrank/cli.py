@@ -51,7 +51,7 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import Bundle, format_table
+from fracrank.table import Bundle, as_written, format_table
 
 OUT_ENV_VAR = "FRACRANK_OUT"
 
@@ -77,11 +77,6 @@ _KINDS = {
 }
 # The options that only some kinds read; --len is accepted with every kind.
 _GENERATOR_OPTIONS = tuple(dict.fromkeys(o for kind in _KINDS.values() for o in kind[1] + kind[2]))
-
-
-def _g12(x: float) -> float:
-    """Round a float through 12 significant digits for deterministic JSON."""
-    return float(f"{float(x):.12g}")
 
 
 def _json(record: dict, indent: int | None = None) -> str:
@@ -165,7 +160,7 @@ def run_analyze(options: dict, bundle: Bundle) -> None:
         )
     except RankStatsError as exc:
         summary["zipf_error"] = str(exc)
-    summary = {k: _g12(v) if isinstance(v, float) else v for k, v in summary.items()}
+    summary = {k: as_written(v) if isinstance(v, float) else v for k, v in summary.items()}
     bundle.write("dfa.csv", curve.to_csv())
     bundle.write("hurst_pointwise.csv", format_table(("N", "h"), points.T))
     bundle.write("summary.json", [_json(summary)])

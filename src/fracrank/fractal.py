@@ -70,14 +70,6 @@ class HurstResult:
     h_r2: float
 
 
-def _profile(series) -> np.ndarray:
-    """Cumulative sum of the mean-centered series: y(k) = sum_{i<=k} (x_i - mean)."""
-    x = np.asarray(series, dtype=float)
-    if x.size < 2:
-        raise ValueError("profile needs at least 2 points")
-    return np.cumsum(x - x.mean())
-
-
 def _line_fit(xc: np.ndarray, xc_ss: float, x_mean: float,
               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares line slope * x + intercept through y, fit along y's last axis.
@@ -147,7 +139,7 @@ def dfa(series, windows=None) -> FluctuationCurve:
         raise ValueError("windows must satisfy 4 <= n <= N/4")
     if windows.size < 4:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 distinct windows")
-    prof = _profile(x)
+    prof = np.cumsum(x - x.mean())  # the profile y(k) = sum_{i<=k} (x_i - mean)
     d = np.empty(windows.size)
     scratch = np.empty(prof.size)
     for i, n in enumerate(windows):

@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 
 from fracrank.fractal import _ols
-from fracrank.table import format_pairs
+from fracrank.table import as_written, format_pairs
 
 
 # 2^24 int64 cell counts are 128 MiB.
@@ -61,9 +61,9 @@ def zipf_fit(sequence, trim_fraction: float) -> ZipfFit:
     """Fit ln(value) against rank and against ln(rank) after trimming both ends.
 
     The sequence must be sorted non-increasing; floor(trim_fraction * N) ranks
-    are dropped from each end and at least 4 strictly positive values, not all
-    equal to 12 significant digits, must remain. Rank numbering keeps the
-    original 1-based positions.
+    are dropped from each end and at least 4 strictly positive values must
+    remain, not all written alike (``fracrank.table.as_written``). Rank
+    numbering keeps the original 1-based positions.
     """
     vals = np.asarray(sequence, dtype=float)
     n = vals.size
@@ -78,8 +78,8 @@ def zipf_fit(sequence, trim_fraction: float) -> ZipfFit:
         raise RankStatsError("too few points after trimming (need >= 4)")
     if np.any(window <= 0):
         raise RankStatsError("nonpositive value inside the trimmed window")
-    if f"{window[0]:.12g}" == f"{window[-1]:.12g}":
-        # Sorted, so all values agree to the 12 digits fracrank writes: R² is noise.
+    if as_written(window[0]) == as_written(window[-1]):
+        # Sorted, so all values are written alike: R² is noise.
         raise RankStatsError("no spread in the trimmed window")
     ranks = np.arange(t + 1, t + n_used + 1, dtype=float)
     ln_v = np.log(window)

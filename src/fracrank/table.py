@@ -4,9 +4,9 @@ A table is a header row of column names, then one row per record, every line
 ending in ``\\n``. Numbers are written with 12 significant digits, byte for
 byte as ``"%.12g"`` writes them; text fields are quoted as RFC 4180 does, and
 only when they hold a comma, a quote or a line break. Non-finite numbers are
-rejected both ways. Tables are formatted in chunks of ``CHUNK_ROWS`` rows, so
-no whole-file string is built, and one parser, a single ``np.loadtxt`` call,
-reads every table back.
+rejected both ways. ``as_written(x)`` is the float that x's cell reads back as.
+Tables are formatted in chunks of ``CHUNK_ROWS`` rows, so no whole-file string
+is built, and one parser, a single ``np.loadtxt`` call, reads every table back.
 
 One numpy formatter writes every number. For a value v with decimal exponent
 x it computes q = |v| * 10^(11 - x), the power of ten as two correctly rounded
@@ -40,6 +40,7 @@ from __future__ import annotations
 import errno
 import os
 import re
+import stat
 import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
@@ -53,6 +54,11 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 class TableError(ValueError):
     """A table that cannot be written or read in the fracrank dialect."""
+
+
+def as_written(x) -> float:
+    """The float that a table cell or ``summary.json`` holds for ``x``: its 12 digits."""
+    return float(f"{float(x):.12g}")
 
 
 def _quote(text: str) -> str:
@@ -367,12 +373,17 @@ def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list
     """Read a table back: the first ``text_columns`` columns as tuples of str, the rest
     as float arrays.
 
-    The header row may be left out. Blank lines are skipped. Every row must
-    have one field per header name, and every number must be finite; errors
-    name the data row (1-based, header and blank lines not counted), and a
-    byte that is not UTF-8 is also named by its offset in the file.
+    The file must be a regular file. The header row may be left out. Blank
+    lines are skipped. Every row must have one field per header name, and
+    every number must be finite; errors name the data row (1-based, header and
+    blank lines not counted), and a byte that is not UTF-8 is also named by its
+    offset in the file.
     """
     path = Path(path)
+    # The header line is read and the file read again from its start, so a pipe
+    # would fail on the seek, or block at the open while it has no writer.
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise TableError(f"{path}: a table must be a regular file, not a pipe or device")
     dtype = [(name, object if i < text_columns else float) for i, name in enumerate(header)]
     try:
         with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings():

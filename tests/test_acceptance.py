@@ -14,12 +14,13 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats
 
-from fracrank.cli import _g12, main as cli_main
+from fracrank.cli import main as cli_main
 from fracrank.corpus import Query, ingest_jsonl_path
 from fracrank.fractal import dfa, hurst_regression, rs_statistic
 from fracrank.rankstats import empirical_cdf_map, occupancy_stats, poincare_map, zipf_fit
 from fracrank.relevance import Measure, mutual_sequence, score_corpus
 from fracrank.synth import fgn, power_law_ranks, read_series_csv, white_noise
+from fracrank.table import as_written
 
 from conftest import (MICRO_CORPUS, load_brute_force_oracle, load_script, textbook_rs,
                       unit_scaled)
@@ -219,10 +220,10 @@ def test_planted_corpus_read_back(tmp_path, h):
                                  "--ranked-by", "q", "--read-off", "f",
                                  "--out", str(tmp_path / "a")])
     assert r.exit_code == 0, r.output
-    s = np.array([float(f"{v:.12g}") for v in (m / m.max()).tolist()])
+    s = np.array([as_written(v) for v in (m / m.max()).tolist()])
     np.testing.assert_array_equal(read_series_csv(tmp_path / "a" / "sequence.csv"), s)
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     got = summary["alpha"], summary["h_regression"]
-    want = _g12(dfa(s).alpha), _g12(hurst_regression(s).h_regression)
+    want = as_written(dfa(s).alpha), as_written(hurst_regression(s).h_regression)
     report(f"planted H={h} read back through score and analyze", got == want,
            f"alpha, H {got}; estimators on m / max(m) {want}")

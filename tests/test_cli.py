@@ -3,6 +3,7 @@ import math
 import os
 import re
 import shutil
+import subprocess
 import time
 from pathlib import Path
 
@@ -205,6 +206,23 @@ class TestScore:
         assert message in result.output
         assert tree(out) == before
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"id": 7, "text": "alpha"}\n', "Error: line 1: 'id' must be a string"),
+        # Blank and whitespace-only lines are skipped, but still counted.
+        ('{"id": "a", "text": "alpha"}\n\n{"id": 7, "text": "alpha"}\n',
+         "Error: line 3: 'id' must be a string"),
+        ('{"id": "a", "text": "alpha"}\n \t\nnot json\n', "Error: line 3: malformed record"),
+    ], ids=["id_not_str", "after_blank_line", "after_whitespace_line"])
+    def test_bad_record_named_by_its_line(self, runner, tmp_path, text, message):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["score", "--corpus", str(corpus), "--query", "alpha",
+                                      "--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert message in result.output
+        assert not out.exists()
+
     def test_single_document(self, runner, tmp_path):
         corpus = tmp_path / "one.jsonl"
         corpus.write_text('{"id": "d", "text": "alpha twice alpha"}\n')
@@ -269,6 +287,28 @@ class TestAnalyze:
                                       "--out", str(tmp_path / "a")])
         assert result.exit_code != 0
         assert "dfa" in result.output
+
+    def test_zero_fluctuation_at_a_dfa_window(self, runner, tmp_path):
+        # A period-8 square wave: its profile is linear in every window-4 segment.
+        wave = np.tile([1.0, 1, 1, 1, -1, -1, -1, -1], 64)
+        series = write_series(tmp_path / "square.csv", wave)
+        out = tmp_path / "a"
+        result = runner.invoke(main, ["analyze", "--series", str(series),
+                                      "--dfa-windows", "4,8,16,32", "--out", str(out)],
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "Error: dfa failed: zero fluctuation at some window" in result.output
+        assert not out.exists()
+
+    def test_all_zero_scores_named(self, runner, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,raw_f,raw_q,f,q\nd0,0,0,0,0\nd1,0,0,0,0\n", encoding="utf-8")
+        out = tmp_path / "a"
+        result = runner.invoke(main, ["analyze", "--scores", str(scores), "--out", str(out)],
+                               catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "Error: no nonzero-score documents to sequence" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("windows", ["0,16,32,64,128", "-16,16,32,64,128",
                                          "1,16,32,64,128", "16,32,64,128,257"])
@@ -877,8 +917,8 @@ class TestRerun:
         assert (tmp_path / "b" / "manifest.json").read_text() == text
         assert read_dir(tmp_path / "b") == read_dir(tmp_path / "a")
 
-    @pytest.mark.parametrize("case", ["missing_input", "not_json", "no_input"]
-                             + sorted(BROKEN_MANIFEST_FIELDS))
+    @pytest.mark.parametrize("case", ["missing_input", "not_json", "no_input", "not_an_object",
+                                      "unknown_command"] + sorted(BROKEN_MANIFEST_FIELDS))
     def test_broken_manifest_clean_error(self, runner, tmp_path, case):
         sdir = tmp_path / "s"
         run_ok(runner, ["synth", "--kind", "white", "--len", "256", "--seed", "1",
@@ -898,6 +938,12 @@ class TestRerun:
             manifest.write_text(json.dumps({"command": "analyze",
                                             "config": {"scores": None, "series": None}}))
             message = "bad manifest config: exactly one of --scores or --series is required"
+        elif case == "not_an_object":
+            manifest.write_text("[]")
+            message = "Error: manifest must be a JSON object with a config object"
+        elif case == "unknown_command":
+            manifest.write_text(json.dumps({"command": "bogus", "config": {}}))
+            message = "Error: manifest has unknown command 'bogus'"
         else:
             command, key, value, detail = BROKEN_MANIFEST_FIELDS[case]
             if command == "analyze":
@@ -922,7 +968,7 @@ class TestRerun:
         assert not (tmp_path / "b").exists()
 
 
-def run_cli(*args, code=0) -> None:
+def run_cli(*args, code=0) -> subprocess.CompletedProcess:
     """Run ``python -m fracrank.cli`` (what the console script runs) in a process of its own.
 
     It must exit with ``code``, and print no traceback and no numpy
@@ -933,6 +979,7 @@ def run_cli(*args, code=0) -> None:
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr, result.stderr
     assert "RuntimeWarning" not in result.stderr, result.stderr
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -963,7 +1010,7 @@ class TestProcess:
 
     @pytest.mark.parametrize("case", ["analyze_rerun", "flat_series_keeps_out",
                                       "grid_0_keeps_out", "one_value_no_fresh_out",
-                                      "generated_corpus"])
+                                      "fifo_no_fresh_out", "generated_corpus"])
     def test_cli_process(self, tmp_path, fgn_bundle, case):
         out = tmp_path / "out"
         if case == "analyze_rerun":
@@ -979,6 +1026,13 @@ class TestProcess:
             # Fails in poincare_map, before the writer child is started.
             one = write_series(tmp_path / "one.csv", [0.5])
             run_cli("analyze", "--series", one, "--out", out, code=1)
+            assert not out.exists()
+        elif case == "fifo_no_fresh_out":
+            # A pipe with no writer: opening it would block, so it must be refused first.
+            fifo = tmp_path / "fifo.csv"
+            os.mkfifo(fifo)
+            result = run_cli("analyze", "--series", fifo, "--out", out, code=1)
+            assert f"Error: {fifo}: a table must be a regular file" in result.stderr
             assert not out.exists()
         else:
             before = tree(shutil.copytree(fgn_bundle, out))

@@ -15,7 +15,6 @@ from fracrank.fractal import (
     _geometric_grid,
     _line_fit,
     _ols,
-    _profile,
     _ranges_and_sds,
     _rescaled_ranges,
     _window_basis,
@@ -52,7 +51,8 @@ def naive_dfa_d(series, window):
 
 def per_window_dfa(series, windows):
     """Reference D(n) and alpha: fresh arrays per window and np.mean; dfa matches its bits."""
-    prof = _profile(series)
+    x = np.asarray(series, dtype=float)
+    prof = np.cumsum(x - x.mean())
     d = np.empty(len(windows))
     for i, n in enumerate(windows):
         nseg = prof.size // n
@@ -160,27 +160,6 @@ def windows_for(data, n_points):
     return [short] + rest
 
 
-class TestProfile:
-    def test_constant_series(self):
-        np.testing.assert_allclose(_profile([5.0] * 4), [0, 0, 0, 0], atol=1e-15)
-
-    def test_alternating(self):
-        np.testing.assert_allclose(_profile([1, -1, 1, -1]), [1, 0, 1, 0], atol=1e-15)
-
-    def test_hand_computed(self):
-        np.testing.assert_allclose(_profile([1, 2, 3]), [-1, -1, 0], atol=1e-15)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            _profile([1.0])
-
-    @given(finite_series)
-    def test_last_value_is_zero(self, x):
-        y = _profile(x)
-        scale = max(1.0, np.abs(x).max())
-        assert abs(y[-1]) <= x.size * 1e-9 * scale
-
-
 def local_trend(y):
     """DFA's line fit of y's rows against k = 1..n, with the cached regressor terms."""
     _, kc, kc_ss, k_mean = _window_basis(y.shape[-1])
@@ -266,6 +245,14 @@ class TestDfa:
         with pytest.raises(ValueError):
             dfa(white_noise(64, 0), windows=[])
 
+    def test_zero_fluctuation_at_a_window_is_degenerate(self):
+        # A period-8 square wave: its profile 1, 2, 3, 4, 3, 2, 1, 0 repeats, so it
+        # is exactly linear in every window-4 segment, D(4) is 0 and its log undefined.
+        wave = np.tile([1.0, 1, 1, 1, -1, -1, -1, -1], 64)
+        with pytest.raises(DegenerateSeriesError,
+                           match="zero fluctuation at some window; log fit undefined"):
+            dfa(wave, windows=[4, 8, 16, 32])
+
     def test_window_bounds_enforced(self):
         with pytest.raises(ValueError):
             dfa(white_noise(64, 0), windows=[2])
@@ -321,6 +308,11 @@ class TestDfa:
             assert curve.windows.size == len(set(windows))
             assert np.isfinite(curve.alpha) and np.isfinite(curve.alpha_r2)
             assert np.isfinite(curve.d).all()
+
+    @pytest.mark.parametrize("n", [1, 15])
+    def test_fewer_than_16_points_rejected(self, n):
+        with pytest.raises(ValueError, match="dfa needs at least 16 points"):
+            dfa(np.arange(n, dtype=float))
 
     @pytest.mark.parametrize("n", [16, 20, 27])
     def test_short_series_default_grid_rejected(self, n):
@@ -441,6 +433,11 @@ class TestRsStatistic:
     def test_degenerate(self):
         with pytest.raises(DegenerateSeriesError, match="degenerate"):
             rs_statistic([2.0, 2.0, 2.0])
+
+    def test_one_value_rejected(self):
+        with pytest.raises(ValueError, match="rs_statistic needs at least 2 points") as info:
+            rs_statistic([1.0])
+        assert info.type is ValueError  # a length error, not a degenerate series
 
     def test_constant_with_rounded_mean_is_degenerate(self):
         # The float mean of 64 copies of 0.1 is off by ~1e-17, so S is tiny but

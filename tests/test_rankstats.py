@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from fracrank.rankstats import (
+    MAX_GRID_CELLS,
+    PoincarePoints,
     RankStatsError,
     empirical_cdf_map,
     occupancy_stats,
@@ -104,6 +106,11 @@ class TestZipfFit:
         with pytest.raises(RankStatsError, match="too few"):
             zipf_fit([2.0, 1.0, 0.5], trim_fraction=0.0)
 
+    @pytest.mark.parametrize("trim", [0.3, -0.1])
+    def test_trim_fraction_out_of_range(self, trim):
+        with pytest.raises(RankStatsError, match=r"trim_fraction must be in \[0, 0.25\]"):
+            zipf_fit(np.arange(100, 0, -1, dtype=float), trim_fraction=trim)
+
     @pytest.mark.parametrize("values, trim", [(np.full(5, 0.9), 0.0),
                                               (np.r_[[2.0] * 5, [0.9] * 90, [0.1] * 5], 0.05),
                                               # A spread of one ulp is rounding noise.
@@ -165,6 +172,18 @@ class TestOccupancy:
     def test_out_of_range_rejected(self):
         with pytest.raises(RankStatsError, match="coordinates"):
             occupancy_stats(poincare_map([0.5, 1.5]), 4)
+
+    @pytest.mark.parametrize("grid, message", [
+        (0, "grid_size must be >= 1"),
+        (4097, rf"grid_size\^2 must be <= {MAX_GRID_CELLS} cells"),  # 4097^2 > 2^24
+    ], ids=["grid_0", "grid_4097"])
+    def test_grid_size_out_of_range(self, grid, message):
+        with pytest.raises(RankStatsError, match=message):
+            occupancy_stats(poincare_map([0.1, 0.9, 0.4]), grid)
+
+    def test_one_value_has_no_point(self):
+        with pytest.raises(RankStatsError, match="need at least one point"):
+            occupancy_stats(PoincarePoints(values=np.array([0.5])), 4)
 
     def test_boundary_values_clamped(self):
         report = occupancy_stats(poincare_map([0.0, 1.0, 0.0]), 4)

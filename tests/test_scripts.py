@@ -1,10 +1,11 @@
-"""The scripts under scripts/ run against the package as it is.
+"""The scripts under scripts/ and the benchmark's tracer run against the package as it is.
 
 A script that imports a name the package no longer has fails here, not at
-its next manual run.
+its next manual run, and so does a traced name that the package dropped.
 """
 
 import ast
+import importlib.util
 import json
 import math
 import subprocess
@@ -53,3 +54,17 @@ def test_corpora_runs(tmp_path):
     assert sorted(m) == list(range(64))
     want = load_script("corpora.py").planted_counts(64, 0.75, 1)
     assert [m[i] for i in range(64)] == want.tolist() and min(m.values()) >= 1
+
+
+def test_benchmark_traced_names_exist():
+    """Every function perfbench/tracing.py wraps exists, so every metric it feeds is recorded."""
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == set()

@@ -204,6 +204,19 @@ class TestPowerLawRanks:
         )
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: white_noise(1, 0), "length must be >= 2"),
+    (lambda: linear_trend(1, 1.0, 0.0), "length must be >= 2"),
+    (lambda: power_law_ranks(1, 1.0, 0.0, 0), "length must be >= 2"),
+    (lambda: power_law_ranks(100, 0.0, 0.0, 0), "beta must be > 0"),
+    (lambda: power_law_ranks(100, 1.0, -1.0, 0), "noise must be >= 0"),
+], ids=["white_noise_length", "linear_trend_length", "power_length", "power_beta",
+        "power_noise"])
+def test_generator_argument_named(call, message):
+    with pytest.raises(SynthError, match=message):
+        call()
+
+
 class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):
         x = white_noise(100, 2)
