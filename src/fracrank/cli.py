@@ -7,7 +7,7 @@ accepted exactly when that command line is, and the run is reproduced
 byte-for-byte. ``_run`` opens one ``fracrank.table.Bundle`` on ``--out``
 before the input is read: each file goes to a temp file beside its target, all
 renamed into place only once every one is written, so a failed or interrupted
-run leaves ``--out`` as it was.
+run (SIGTERM included) leaves ``--out`` as it was.
 ``analyze`` builds the return map first and then hands both of its large
 tables, ``sequence.csv`` and ``poincare.csv``, to one forked writer child
 (POSIX only), which writes them while the estimators run, so both CPUs of a
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import signal
+import sys
 from pathlib import Path
 
 import click
@@ -51,7 +53,7 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import Bundle, as_written, format_table
+from fracrank.table import Bundle, TableError, as_written, format_table, require_regular_file
 
 OUT_ENV_VAR = "FRACRANK_OUT"
 
@@ -200,15 +202,25 @@ _out_option = click.option(
 def _run(runner, options, out) -> None:
     """Run the current command's ``runner`` into one ``Bundle`` on ``out``, then add the
     manifest; fracrank errors (all ValueError), file errors and a failed allocation
-    exit 1 with their message."""
+    exit 1 with their message, and SIGTERM exits 128 + 15 once the bundle is undone."""
     # A non-finite option exits 2 here, before --out is made or the input read.
     manifest = _manifest(click.get_current_context().command.name, options)
+    # SIGTERM's default action would skip the Bundle's cleanup; as SystemExit it
+    # unwinds the with block. The handler is restored for a caller in the same
+    # process; only the main thread may set one, so a run in another goes without.
+    try:
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    except ValueError:
+        previous = None
     try:
         with Bundle(out) as bundle:
             runner(options, bundle)
             bundle.write("manifest.json", [manifest])
     except (ValueError, OSError, MemoryError) as exc:
         raise click.ClickException(str(exc)) from exc
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def _command_line(command: click.Command, config: dict) -> list[str]:
@@ -306,7 +318,10 @@ def synth(out, **options):
 def rerun(manifest, out):
     """Replay a previous run from its manifest.json; outputs are byte-identical."""
     try:
+        require_regular_file(manifest, "a manifest")
         record = json.loads(Path(manifest).read_text(encoding="utf-8"))
+    except TableError as exc:
+        raise click.ClickException(str(exc)) from exc
     except (ValueError, OSError) as exc:
         raise click.ClickException(f"cannot read manifest {manifest}: {exc}") from exc
     if not isinstance(record, dict) or not isinstance(record.get("config", {}), dict):

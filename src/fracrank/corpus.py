@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from fracrank.table import _decode_error_in_file
+from fracrank.table import _decode_error_in_file, require_regular_file
 
 _SPACE = ord(" ")
 
@@ -193,7 +193,9 @@ def ingest_jsonl(lines: Iterable[str], terms: Iterable[str] | None = None) -> tu
 
 
 def ingest_jsonl_path(path, terms: Iterable[str] | None = None) -> tuple[Document, ...]:
-    """ingest_jsonl over a UTF-8 file on disk; a byte that is not UTF-8 is named by its line."""
+    """ingest_jsonl over a regular UTF-8 file (else TableError); a byte that is not UTF-8 is
+    named by its line."""
+    require_regular_file(path, "a corpus")
     try:
         with open(path, encoding="utf-8") as fh:
             return ingest_jsonl(fh, terms)

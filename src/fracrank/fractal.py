@@ -14,15 +14,17 @@ non-overlapping blocks and R/S is computed row-wise in one pass; a prefix is
 the one-row case. The associated fractal dimension of a self-affine record is
 2 - H.
 
-The estimators are scale-free, and each raises DegenerateSeriesError on an inf or
-NaN in the series. DFA pools its residuals over one profile, so it scales globally:
-from one min and one max of the series, with e the binary exponent of max|x|, it
-divides the series by 2**e (exact) only when e < 0, which loses nothing, or when
-e > 400, where a square or sum could overflow, then multiplies D(n) back by 2**e
-and raises DegenerateSeriesError if that is not a normal float. R/S is a ratio
-per block or prefix, so it reads the series as given and measures a row again,
-divided by the power of two of its own largest magnitude, only when the row's S
-is outside [2**-500, 2**500]; no block is flushed to zero at another block's scale.
+Every estimator reads its series through one prologue, which names a short
+series (ValueError) and an inf or NaN (DegenerateSeriesError); DFA and the R/S
+regression share one window rule. The estimators are scale-free. DFA pools its
+residuals over one profile, so it scales globally: from the prologue's min and
+max, with e the binary exponent of max|x|, it divides the series by 2**e (exact)
+only when e < 0, which loses nothing, or when e > 400, where a square or sum
+could overflow, then multiplies D(n) back by 2**e and raises
+DegenerateSeriesError if that is not a normal float. R/S is a ratio per block or
+prefix, so it measures a row again, divided by the power of two of its own
+largest magnitude, only when the row's S is outside [2**-500, 2**500]; no block
+is flushed to zero at another block's scale.
 
 Size-only terms are computed once and shared read-only, with unchanged bits:
 the default window grids (last 16 (lo, hi) pairs) and DFA's regressor k = 1..n
@@ -101,6 +103,26 @@ def _window_basis(n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     return k, kc, (kc * kc).sum(), k_mean
 
 
+def _series(series, size: int, name: str, method: str) -> tuple[np.ndarray, float, float]:
+    """The series as a float array, its min and its max; ``name`` needs ``size`` points."""
+    x = np.asarray(series, dtype=float)
+    if x.size < size:
+        raise ValueError(f"{name} needs at least {size} points")
+    lo, hi = x.min(), x.max()
+    if not -np.inf < lo <= hi < np.inf:  # also when one is NaN
+        raise DegenerateSeriesError(f"non-finite value in the series: {method} undefined")
+    return x, lo, hi
+
+
+def _window_list(windows, grid: tuple[int, int], lo: int, hi: int, rule: str) -> np.ndarray:
+    """``windows`` or the geometric grid over ``grid``, as sorted distinct ints in [lo, hi]."""
+    windows = _geometric_grid(*grid) if windows is None else windows
+    windows = np.array(sorted(set(np.asarray(windows, dtype=int).ravel().tolist())), dtype=int)
+    if windows.size and (windows[0] < lo or windows[-1] > hi):
+        raise ValueError(rule)
+    return windows
+
+
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """OLS slope, intercept and R^2 of y against x."""
     x_mean = x.mean()
@@ -118,32 +140,22 @@ def dfa(series, windows=None) -> FluctuationCurve:
 
     D(n) is the RMS over all retained profile points of the detrended
     residuals; alpha is the OLS slope of log10 D vs log10 n over at least 4
-    distinct windows. Before the windows the series is read through one min and one
-    max, which name an inf or NaN and a constant series (DegenerateSeriesError) and
-    give the global scale 2**e; the caller's array is never written.
+    distinct windows. A constant series raises DegenerateSeriesError; the
+    caller's array is never written.
     """
-    x = np.asarray(series, dtype=float)
-    if x.size < 16:
-        raise ValueError("dfa needs at least 16 points")
-    lo, hi = x.min(), x.max()
-    if not -np.inf < lo <= hi < np.inf:  # also when one is NaN
-        raise DegenerateSeriesError("non-finite value in the series: DFA undefined")
+    x, lo, hi = _series(series, 16, "dfa", "DFA")
     if lo == hi:
         raise DegenerateSeriesError("zero fluctuation: series is constant")
     e = int(np.frexp(max(-lo, hi))[1])  # the binary exponent of max|x|
     x, e = (x, 0) if 0 <= e <= 400 else (np.ldexp(x, -e), e)
-    if windows is None:
-        windows = _geometric_grid(4, x.size // 4)
-    windows = np.array(sorted(set(np.asarray(windows, dtype=int).ravel().tolist())), dtype=int)
-    if windows.size and (windows[0] < 4 or windows[-1] > x.size // 4):
-        raise ValueError("windows must satisfy 4 <= n <= N/4")
+    windows = _window_list(windows, (4, x.size // 4), 4, x.size // 4,
+                           "windows must satisfy 4 <= n <= N/4")
     if windows.size < 4:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 distinct windows")
     prof = np.cumsum(x - x.mean())  # the profile y(k) = sum_{i<=k} (x_i - mean)
     d = np.empty(windows.size)
     scratch = np.empty(prof.size)
-    for i, n in enumerate(windows):
-        n = int(n)
+    for i, n in enumerate(windows.tolist()):
         nseg = prof.size // n
         seg = prof[: nseg * n].reshape(nseg, n)
         k, kc, kc_ss, k_mean = _window_basis(n)
@@ -182,11 +194,10 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
 
     The row-mean deviations, written into ``out`` if given, feed both S
     (population form) and the running sums whose range is R, formed in place.
-    Rows are measured as given; a row whose S is outside [2**-500, 2**500]
-    (its squares would be subnormal or overflow, or S is inf or NaN) is measured
-    again divided by the power of two of its own largest magnitude (exact), so
-    the caller runs the first pass under np.errstate(over/invalid="ignore"); an S
-    still not finite then (an inf or NaN in the row) raises DegenerateSeriesError.
+    Rows are finite and measured as given; a row whose S is outside [2**-500, 2**500]
+    (squares subnormal or overflowing, so S may be inf or NaN) is measured again
+    divided by the power of two of its own largest magnitude (exact), so the caller
+    runs the first pass under np.errstate(over/invalid="ignore").
     A constant row's float mean can round (tiny S, R/S = w - 1); ``ties=False``
     skips that constancy test, for a series with no two equal neighbours.
     """
@@ -196,8 +207,6 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
         rows = blocks[redo]
         e = np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1]
         r[redo], s[redo] = _ranges_and_sds(np.ldexp(rows, -e))
-        if not np.isfinite(s[redo]).all():
-            raise DegenerateSeriesError("non-finite value in the series: R/S undefined")
     usable = s != 0.0
     if ties:
         usable &= blocks.max(axis=1) != blocks.min(axis=1)
@@ -208,9 +217,7 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
 
 def rs_statistic(series) -> float:
     """Rescaled range R/S with population standard deviation S."""
-    x = np.asarray(series, dtype=float)
-    if x.size < 2:
-        raise ValueError("rs_statistic needs at least 2 points")
+    x = _series(series, 2, "rs_statistic", "R/S")[0]
     with np.errstate(over="ignore", invalid="ignore"):
         rs = _rescaled_ranges(x[None, :])
     if rs.size == 0:
@@ -224,9 +231,7 @@ def hurst_pointwise(series) -> tuple[np.ndarray, list[int]]:
     Returns (points, skipped): points is an (n, 2) array of (N, H(N)) rows, and
     skipped lists the prefix lengths that were constant or had zero standard deviation.
     """
-    x = np.asarray(series, dtype=float)
-    if x.size < 16:
-        raise ValueError("hurst_pointwise needs at least 16 points")
+    x = _series(series, 16, "hurst_pointwise", "R/S")[0]
     ties = bool(np.any(x[1:] == x[:-1]))
     points: list[tuple[int, float]] = []
     skipped: list[int] = []
@@ -248,23 +253,17 @@ def hurst_regression(series, windows=None) -> HurstResult:
     a window with no usable block is dropped. H is the OLS slope of
     log(mean R/S) vs log(w), and h_r2 the R^2 of that fit.
     """
-    x = np.asarray(series, dtype=float)
-    if x.size < 64:
-        raise ValueError("hurst_regression needs at least 64 points")
-    if windows is None:
-        # Blocks shorter than 16 carry a strong small-sample upward bias in R/S
-        # (the N >> 1 regime does not hold there), so they are excluded by default.
-        windows = _geometric_grid(16, x.size // 4)
-    windows = np.array(sorted(set(np.asarray(windows, dtype=int).ravel().tolist())), dtype=int)
-    if windows.size and (windows[0] < 2 or windows[-1] > x.size):
-        raise ValueError("R/S windows must satisfy 2 <= w <= N")
+    x = _series(series, 64, "hurst_regression", "R/S")[0]
+    # Blocks shorter than 16 carry a strong small-sample upward bias in R/S
+    # (the N >> 1 regime does not hold there), so the default grid starts at 16.
+    windows = _window_list(windows, (16, x.size // 4), 2, x.size,
+                           "R/S windows must satisfy 2 <= w <= N")
     used_w: list[int] = []
     means: list[float] = []
     scratch = np.empty(x.size)
     ties = bool(np.any(x[1:] == x[:-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for w in windows:
-            w = int(w)
+        for w in windows.tolist():
             nblk = x.size // w
             vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w),
                                     scratch[: nblk * w].reshape(nblk, w), ties)

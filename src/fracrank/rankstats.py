@@ -60,8 +60,8 @@ class OccupancyReport:
 def zipf_fit(sequence, trim_fraction: float) -> ZipfFit:
     """Fit ln(value) against rank and against ln(rank) after trimming both ends.
 
-    The sequence must be sorted non-increasing; floor(trim_fraction * N) ranks
-    are dropped from each end and at least 4 strictly positive values must
+    The sequence must be finite and sorted non-increasing; floor(trim_fraction * N)
+    ranks are dropped from each end and at least 4 strictly positive values must
     remain, not all written alike (``fracrank.table.as_written``). Rank
     numbering keeps the original 1-based positions.
     """
@@ -69,6 +69,8 @@ def zipf_fit(sequence, trim_fraction: float) -> ZipfFit:
     n = vals.size
     if not 0.0 <= trim_fraction <= MAX_TRIM:
         raise RankStatsError(f"trim_fraction must be in [0, {MAX_TRIM}]")
+    if not np.isfinite(vals).all():
+        raise RankStatsError("non-finite value in the sequence")
     if np.any(np.diff(vals) > 0):
         raise RankStatsError("sequence must be sorted non-increasing")
     t = int(np.floor(trim_fraction * n))
@@ -136,12 +138,17 @@ def empirical_cdf_map(sequence) -> np.ndarray:
     """Rank-transform values to (0, 1]: value i maps to rank_i / N (ordinal ranks).
 
     Equal values (0.0 and -0.0 too) are ranked in series order, as a stable
-    sort ranks them. The values must not be NaN, and N must be below 3e9.
+    sort ranks them; an inf has its rank. A NaN has none and raises
+    RankStatsError. N must be below 3e9.
     """
     vals = np.asarray(sequence, dtype=float)
     n = vals.size
+    # Ties are read from a sort of the values, which is faster than gathering them
+    # in argsort's order; the flags agree, as == does not tell -0.0 from 0.0.
+    sorted_vals = np.sort(vals)
+    if n and np.isnan(sorted_vals[-1]):  # a NaN sorts last
+        raise RankStatsError("NaN in the sequence: it has no rank")
     order = np.argsort(vals)  # several times faster than a stable sort, but not stable
-    sorted_vals = vals[order]
     ties = sorted_vals[1:] == sorted_vals[:-1]
     if ties.any():
         # Put each run of equal values back in series order by sorting the keys

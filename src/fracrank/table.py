@@ -40,6 +40,7 @@ from __future__ import annotations
 import errno
 import os
 import re
+import signal
 import stat
 import warnings
 from pathlib import Path
@@ -300,6 +301,8 @@ class Bundle:
                 fds.append(self._stage(name))
             pid = os.fork()
             if pid == 0:
+                # A caller's SIGTERM handler is for the caller: this child just ends.
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 _write_and_exit(write_end, zip(fds, tables.values()))
             self._child = (pid, read_end)
         except BaseException:
@@ -329,8 +332,6 @@ class Bundle:
 
     def _abort(self) -> None:
         if self._child is not None:
-            import signal  # only a failed run needs it, so importing fracrank.cli does not
-
             pid, pipe = self._child
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -344,6 +345,17 @@ class Bundle:
                 os.rmdir(directory)
             except OSError:  # not empty, so not ours alone
                 break
+
+
+def require_regular_file(path, kind: str) -> None:
+    """Refuse an input that is not a regular file (``kind`` names it in the message).
+
+    A pipe with no writer blocks its open forever, and the readers open their
+    input more than once: a table to read its header line and then the file, a
+    corpus again to locate a byte that is not UTF-8.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise TableError(f"{path}: {kind} must be a regular file, not a pipe or device")
 
 
 def _decode_error_in_file(path, exc: UnicodeDecodeError) -> tuple[UnicodeDecodeError, list]:
@@ -380,10 +392,7 @@ def read_table(path: Path, header: Sequence[str], text_columns: int = 0) -> list
     offset in the file.
     """
     path = Path(path)
-    # The header line is read and the file read again from its start, so a pipe
-    # would fail on the seek, or block at the open while it has no writer.
-    if not stat.S_ISREG(path.stat().st_mode):
-        raise TableError(f"{path}: a table must be a regular file, not a pipe or device")
+    require_regular_file(path, "a table")
     dtype = [(name, object if i < text_columns else float) for i, name in enumerate(header)]
     try:
         with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings():

@@ -24,11 +24,16 @@ MICRO_Q = [v / MICRO_Q_RAW[0] for v in MICRO_Q_RAW]
 MICRO_MUTUAL_F_OF_Q = [0.75, 1.0, 0.25]
 
 
+def python_env() -> dict:
+    """This process's environment with the source tree's ``src`` first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_python(*args) -> subprocess.CompletedProcess:
     """Run this Python in a process of its own, with the source tree's ``src`` on its path."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+                          timeout=120, env=python_env())
 
 
 def load_script(name: str):

@@ -3,7 +3,10 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from conftest import (
     MICRO_MUTUAL_F_OF_Q,
     MICRO_Q,
     assert_no_child_left,
+    python_env,
     run_python,
     write_table,
 )
@@ -770,6 +774,21 @@ class TestCommit:
         assert tree(out) == before
         assert not (tmp_path / "fresh").exists()
 
+    def test_sigterm_handler_set_and_restored(self, runner, tmp_path):
+        """A run sets its SIGTERM handler and restores the caller's; in a thread other
+        than the main one, where no handler can be set, it runs without."""
+        before = signal.getsignal(signal.SIGTERM)
+        run_ok(runner, ["synth", "--kind", "white", "--len", "64", "--out", str(tmp_path / "a")])
+        assert signal.getsignal(signal.SIGTERM) is before
+        results = []
+        thread = threading.Thread(target=lambda: results.append(runner.invoke(
+            main, ["synth", "--kind", "white", "--len", "64", "--out", str(tmp_path / "b")])))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert results[0].exit_code == 0, results[0].output
+        assert read_dir(tmp_path / "b") == read_dir(tmp_path / "a")
+
     def test_out_is_made_before_the_input_is_read(self, runner, tmp_path):
         """An --out below a regular file is reported, not the bad corpus."""
         corpus = tmp_path / "bad.jsonl"
@@ -854,6 +873,24 @@ class TestCommit:
         assert pid and int(pid.group(1)) != os.getpid()  # raised in the writer child
         assert list(out.glob(".*.csv.*")) == []
         assert tree(out) == before
+        assert_no_child_left()
+
+    def test_sigterm_to_the_writer_child_alone(self, runner, tmp_path, series, monkeypatch):
+        """The child does not inherit the run's SIGTERM handler: it ends, and the run
+        fails naming its exit status."""
+        parent, cells = os.getpid(), fracrank.table._number_cells
+
+        def terminated(column):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGTERM)
+            return cells(column)
+
+        monkeypatch.setattr(fracrank.table, "_number_cells", terminated)
+        result = runner.invoke(main, ["analyze", "--series", str(series),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "Error: table writer child exited with code -15" in result.output
+        assert not (tmp_path / "out").exists()
         assert_no_child_left()
 
 
@@ -1010,7 +1047,8 @@ class TestProcess:
 
     @pytest.mark.parametrize("case", ["analyze_rerun", "flat_series_keeps_out",
                                       "grid_0_keeps_out", "one_value_no_fresh_out",
-                                      "fifo_no_fresh_out", "generated_corpus"])
+                                      "fifo_no_fresh_out", "fifo_corpus_no_fresh_out",
+                                      "fifo_manifest_no_fresh_out", "generated_corpus"])
     def test_cli_process(self, tmp_path, fgn_bundle, case):
         out = tmp_path / "out"
         if case == "analyze_rerun":
@@ -1027,12 +1065,18 @@ class TestProcess:
             one = write_series(tmp_path / "one.csv", [0.5])
             run_cli("analyze", "--series", one, "--out", out, code=1)
             assert not out.exists()
-        elif case == "fifo_no_fresh_out":
+        elif case.startswith("fifo_"):
             # A pipe with no writer: opening it would block, so it must be refused first.
-            fifo = tmp_path / "fifo.csv"
+            fifo = tmp_path / "fifo"
             os.mkfifo(fifo)
-            result = run_cli("analyze", "--series", fifo, "--out", out, code=1)
-            assert f"Error: {fifo}: a table must be a regular file" in result.stderr
+            args, kind = {
+                "fifo_no_fresh_out": (["analyze", "--series", fifo], "a table"),
+                "fifo_corpus_no_fresh_out": (["score", "--corpus", fifo, "--query", "alpha"],
+                                             "a corpus"),
+                "fifo_manifest_no_fresh_out": (["rerun", fifo], "a manifest"),
+            }[case]
+            result = run_cli(*args, "--out", out, code=1)
+            assert f"Error: {fifo}: {kind} must be a regular file" in result.stderr
             assert not out.exists()
         else:
             before = tree(shutil.copytree(fgn_bundle, out))
@@ -1046,3 +1090,46 @@ class TestProcess:
                 run_cli("analyze", "--series", series, "--grid", 0, "--out", out, code=2)
             assert list(out.glob(".*.csv.*")) == []
             assert tree(out) == before
+
+    def test_sigterm_leaves_out_as_it_was(self, tmp_path, fgn_bundle):
+        """SIGTERM ends a run as an error does: exit 128 + 15, the writer child killed and
+        a fresh --out removed.
+
+        The run is held where it is longest: the writer child stalls in its first
+        table, and the parent, with --out holding both temp tables, in hurst_pointwise.
+        """
+        stalled = tmp_path / "stalled"
+        code = ("import pathlib, runpy, time, fracrank.fractal, fracrank.table\n"
+                "def stall(*args):\n"
+                f"    pathlib.Path({str(stalled)!r}).touch()\n"
+                "    time.sleep(60)\n"
+                "fracrank.table._number_cells = lambda column: time.sleep(60)\n"
+                "fracrank.fractal.hurst_pointwise = stall\n"
+                "runpy.run_module('fracrank.cli', run_name='__main__')\n")
+        out = tmp_path / "out"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "analyze", "--series", str(fgn_bundle / "sequence.csv"),
+             "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=python_env(),
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not stalled.exists():
+                assert proc.poll() is None, "the run ended before it stalled"
+                assert time.monotonic() < deadline, "the run did not stall"
+                time.sleep(0.01)
+            assert sorted(p.name.split(".")[1] for p in out.glob(".*")) == ["poincare",
+                                                                            "sequence"]
+            proc.send_signal(signal.SIGTERM)
+            # Returns only once no process holds the pipes: the writer child is gone too.
+            _, stderr = proc.communicate(timeout=30)
+        except BaseException:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)  # a failed test leaves no process behind
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+            raise
+        assert proc.returncode == 128 + signal.SIGTERM, stderr
+        assert "Traceback" not in stderr, stderr
+        assert not out.exists()

@@ -563,13 +563,22 @@ def test_callers_array_never_written(estimator):
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 @pytest.mark.parametrize("estimator", [dfa, hurst_regression, hurst_pointwise, rs_statistic])
 def test_non_finite_value_named(estimator, value):
-    """An inf or NaN leaves S undefined even measured again at the row's own power
-    of two, so R/S names it instead of returning NaN; DFA names it from the series'
-    min and max, before any arithmetic."""
+    """Every estimator names an inf or NaN from the series' min and max, before any
+    arithmetic."""
     x = white_noise(1024, 1)
     x[700] = value
     with pytest.raises(DegenerateSeriesError, match="non-finite value in the series"):
         estimator(x)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_value_in_no_block_named(value):
+    """The last of 1027 values lies in no block of the default R/S grid (w <= 256),
+    but it is still part of the series."""
+    x = white_noise(1027, 1)
+    x[-1] = value
+    with pytest.raises(DegenerateSeriesError, match="non-finite value in the series: R/S"):
+        hurst_regression(x)
 
 
 def test_subnormal_d_named():

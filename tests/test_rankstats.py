@@ -70,6 +70,19 @@ def unit_sequences(draw):
 TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -np.inf])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: empirical_cdf_map([0.1, np.nan, 0.3]), "NaN in the sequence: it has no rank"),
+    (lambda: zipf_fit([5.0, 4.0, np.nan, 2.0, 1.0], trim_fraction=0.0),
+     "non-finite value in the sequence"),
+    (lambda: zipf_fit([np.inf, 4.0, 3.0, 2.0, 1.0], trim_fraction=0.0),
+     "non-finite value in the sequence"),
+], ids=["cdf_nan", "zipf_nan", "zipf_inf"])
+def test_non_finite_named(call, message):
+    """Not a NaN rank, a NaN slope or a RuntimeWarning: a RankStatsError that names it."""
+    with pytest.raises(RankStatsError, match=message):
+        call()
+
+
 class TestZipfFit:
     def test_exact_exponential(self):
         r = np.arange(1, 1001)
@@ -224,8 +237,11 @@ class TestEmpiricalCdfMap:
         np.random.default_rng(2).integers(0, 5, 1 << 16) * 1.0,
         np.random.default_rng(3).integers(-500, 500, 1 << 16) * -0.0,  # all ±0.0
         np.repeat(np.random.default_rng(4).standard_normal(1 << 10), 64),
+        # Ties are read from np.sort(x), whose ±0.0 may come in another order than
+        # in x[np.argsort(x)]; == does not tell them apart, so the ranks agree.
+        np.random.default_rng(5).choice([-0.0, 0.0, -1.0, 1.0, 2.0], 1 << 16),
     ], ids=["one", "minus_zero", "constant", "signed_zeros", "tie_free", "five_values",
-            "zeros_mixed_sign", "runs"])
+            "zeros_mixed_sign", "runs", "signed_zeros_among_values"])
     def test_same_bits_as_stable_sort_at_size(self, x):
         assert empirical_cdf_map(x).tobytes() == stable_cdf_map(x).tobytes()
 
