@@ -35,6 +35,7 @@ for the default DFA grid at N = 2^20).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -123,6 +124,11 @@ def _window_list(windows, grid: tuple[int, int], lo: int, hi: int, rule: str) ->
     return windows
 
 
+def _log10(values) -> np.ndarray:
+    """log10 of each value by libm: np.log10's last bit depends on numpy's SIMD level."""
+    return np.array([math.log10(v) for v in values])
+
+
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """OLS slope, intercept and R^2 of y against x."""
     x_mean = x.mean()
@@ -174,7 +180,7 @@ def dfa(series, windows=None) -> FluctuationCurve:
         raise DegenerateSeriesError(f"values too {'large' if high > 1024 else 'small'}: "
                                     "D(n) outside the float range")
     d = np.ldexp(d, e)
-    alpha, _, r2 = _ols(np.log10(windows.astype(float)), np.log10(d))
+    alpha, _, r2 = _ols(_log10(windows.tolist()), _log10(d.tolist()))
     return FluctuationCurve(windows=windows, d=d, alpha=alpha, alpha_r2=r2)
 
 
@@ -274,7 +280,7 @@ def hurst_regression(series, windows=None) -> HurstResult:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 usable windows")
     w_arr = np.asarray(used_w, dtype=float)
     m_arr = np.asarray(means)
-    h, _, r2 = _ols(np.log10(w_arr), np.log10(m_arr))
+    h, _, r2 = _ols(_log10(used_w), _log10(means))
     return HurstResult(
         h_regression=h,
         fractal_dim=2.0 - h,

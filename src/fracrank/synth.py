@@ -8,24 +8,32 @@ autocovariance
 
     gamma(k) = 0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
-in O(N log N) via the FFT. Each of its two FFTs (the embedding's eigenvalues,
-then the series) runs in place in one 2N-point complex buffer, 32 * N bytes,
-which for the series also holds the Gaussian draws, so the rest of the peak is
-numpy's own FFT scratch: ``synth --kind fgn --len 1048576`` peaks at ~141 MB
-RSS, against ~196 MB when the transforms copied their input and output.
-``fgn`` returns an array of its own holding just the N values, and keeps the
-spectra of its last 8 (length, H) pairs, 8 * N bytes each; the series bits do
-not depend on this cache.
+in O(N log N) via the FFT. The embedding's first row is real and even and the
+weighted draws are Hermitian, so each of the two circulant transforms is one
+real FFT of 2N points, whose N + 1 complex coefficients hold the whole
+spectrum: ``rfft`` for the eigenvalues, ``irfft`` for the series.
+``synth --kind fgn --len 1048576`` peaks at ~112 MB RSS. The autocovariance
+takes its powers from ``math.pow`` and does the rest in IEEE arithmetic, so the
+fGn bits do not depend on the SIMD level that numpy dispatches to. ``fgn`` returns an array of its
+own holding just the N values, and keeps the square-rooted spectra of its last
+8 (length, H) pairs, 8 * (N + 1) bytes each; the series bits do not depend on
+this cache.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
 from fracrank.table import format_table, read_table
+
+
+# Lags per block in fgn_autocovariance, so that its temporaries stay near 1 MB.
+_BLOCK = 1 << 15
 
 
 class SynthError(ValueError):
@@ -41,36 +49,74 @@ def white_noise(length: int, seed: int) -> np.ndarray:
 
 
 def fgn_autocovariance(h: float, lags) -> np.ndarray:
-    """Closed-form fGn autocovariance gamma(k) for unit-variance increments."""
-    k = np.asarray(lags, dtype=float)
-    return 0.5 * (
-        np.abs(k + 1) ** (2 * h) - 2 * np.abs(k) ** (2 * h) + np.abs(k - 1) ** (2 * h)
-    )
+    """fGn autocovariance gamma(k) for unit-variance increments.
+
+    gamma(k) = 0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}) is computed as written
+    for |k| < 2. For |k| >= 2 that difference cancels, and its error would grow
+    with the lag, so it is summed as the even binomial series
+
+        gamma(k) = k^{2H} * sum_{j>=1} C(2H, 2j) k^{-2j},
+
+    whose terms share one sign: 30 of them below lag 64, 6 above. Every power is
+    one ``math.pow`` call, because numpy's transcendental functions round
+    differently at different SIMD levels; the rest is arithmetic that IEEE
+    rounds alike everywhere. The lags are taken in blocks of ``_BLOCK``, so that
+    the temporaries stay small beside the result.
+    """
+    a = 2.0 * h
+    k = np.abs(np.asarray(lags, dtype=float))
+    gamma = np.empty(k.shape)
+    flat_k, flat_g = k.reshape(-1), gamma.reshape(-1)
+    coef = [1.0]
+    for m in range(1, 61):  # C(a, m) = C(a, m - 1) * (a - m + 1) / m
+        coef.append(coef[-1] * (a - m + 1) / m)
+    coef = coef[2::2]  # C(a, 2j) for j = 1..30
+    for lo in range(0, flat_k.size, _BLOCK):
+        kb = flat_k[lo : lo + _BLOCK]
+        gb = flat_g[lo : lo + _BLOCK]
+        gb[:] = np.fromiter(map(math.pow, memoryview(kb), repeat(a)), float, kb.size)
+        k2 = np.maximum(kb, 2.0)  # lags below 2 are replaced below
+        u = 1.0 / (k2 * k2)
+        s = _even_series(coef[:6], u)
+        near = kb < 64.0
+        s[near] = _even_series(coef, u[near])
+        gb *= s
+    for i in np.flatnonzero(flat_k < 2.0):
+        x = float(flat_k[i])
+        flat_g[i] = 0.5 * (math.pow(x + 1.0, a) - 2.0 * math.pow(x, a) + math.pow(abs(x - 1.0), a))
+    return gamma
+
+
+def _even_series(coef: list[float], u: np.ndarray) -> np.ndarray:
+    """sum_j coef[j - 1] * u^j by Horner's rule, smallest terms first."""
+    s = u * coef[-1]
+    for c in coef[-2::-1]:
+        s += c
+        s *= u
+    return s
 
 
 @functools.lru_cache(maxsize=8)
-def _sqrt_spectrum(n: int, target_h: float) -> tuple[np.float64, np.float64, np.ndarray]:
-    """sqrt of eig[0], eig[n] and eig[1:n] / 2 of the 2n circulant embedding.
+def _sqrt_spectrum(n: int, target_h: float) -> np.ndarray:
+    """sqrt of eig[0], eig[1:n] / 2 and eig[n] of the 2n circulant embedding.
 
     These depend only on (n, H), so they are computed once per pair; the array
     is read-only because every later call shares it.
     """
     gamma = fgn_autocovariance(target_h, np.arange(n + 1))
-    # First row of the circulant embedding: gamma(0..n) then gamma(n-1..1).
-    row = np.zeros(2 * n, dtype=complex)
-    row.real[: n + 1] = gamma
-    row.real[n + 1 :] = gamma[-2:0:-1]
+    # The first row, gamma(0..n) then gamma(n-1..1), is real and even, so its
+    # eigenvalues are the real parts of its real FFT, eig[0..n].
+    row = np.concatenate((gamma, gamma[-2:0:-1]))
     del gamma
-    eig = np.fft.fft(row, out=row).real
+    eig = np.fft.rfft(row).real
+    del row
     if eig.min() < -1e-8:
         raise SynthError("circulant embedding produced a negative eigenvalue")
-    np.clip(eig, 0.0, None, out=eig)
-    # In place, so that no freed temporary of this size is left on the heap
-    # below the cached array, where the allocator could not give it back.
-    half = eig[1:n] / 2.0
-    np.sqrt(half, out=half)
-    half.flags.writeable = False
-    return np.sqrt(eig[0]), np.sqrt(eig[n]), half
+    roots = np.maximum(eig, 0.0)
+    roots[1:n] /= 2.0
+    np.sqrt(roots, out=roots)
+    roots.flags.writeable = False
+    return roots
 
 
 def fgn(length: int, target_h: float, seed: int) -> np.ndarray:
@@ -78,8 +124,10 @@ def fgn(length: int, target_h: float, seed: int) -> np.ndarray:
 
     ``length`` must be a power of two >= 64 and 0 < target_h < 1. The fGn
     covariance always embeds positively; the eigenvalue guard stays as a
-    defensive check. The Gaussian draws, their spectral weighting and the
-    transform all happen in one 2 * length complex buffer.
+    defensive check. Davies-Harte weights N + 1 real and N - 1 imaginary
+    Gaussian draws w_k by the spectrum's roots; the series is the 2N-point FFT
+    of their Hermitian extension over sqrt(2N). That FFT is 2N times the
+    inverse real FFT of the N + 1 conjugates conj(w_k).
     """
     if not 0.0 < target_h < 1.0:
         raise SynthError("target_h must lie strictly between 0 and 1")
@@ -87,24 +135,16 @@ def fgn(length: int, target_h: float, seed: int) -> np.ndarray:
         raise SynthError("length must be a power of two >= 64")
     n = length
     m = 2 * n
-    root0, root_n, half = _sqrt_spectrum(n, float(target_h))
-    w = np.zeros(m, dtype=complex)
-    # The 2n draws fill the 2n floats of w[n:], which the weighted draws in
-    # w[:n] do not overlap; w[n] overwrites re[0] and re[1] only after they are
-    # read, and the mirror image fills the rest of w[n:].
+    roots = _sqrt_spectrum(n, float(target_h))
     rng = np.random.default_rng(seed)
-    draws = w[n:].view(float)
-    re = rng.standard_normal(out=draws[: n + 1])
-    im = rng.standard_normal(out=draws[n + 1 :])
-    w[0] = root0 * re[0]
-    np.multiply(half, re[1:n], out=w.real[1:n])
-    np.multiply(half, im, out=w.imag[1:n])
-    w[n] = root_n * re[n]
-    w.real[n + 1 :] = w.real[n - 1 : 0 : -1]
-    np.negative(w.imag[n - 1 : 0 : -1], out=w.imag[n + 1 :])
-    x = np.fft.fft(w, out=w)[:n]
-    x /= np.sqrt(m)
-    return x.real.copy()
+    c = np.zeros(n + 1, dtype=complex)
+    c.real = rng.standard_normal(n + 1)
+    c.real *= roots
+    c.imag[1:n] = rng.standard_normal(n - 1)
+    c.imag[1:n] *= -roots[1:n]  # the conjugates conj(w_k)
+    x = np.fft.irfft(c, m)
+    del c
+    return x[:n] * math.sqrt(m)
 
 
 def linear_trend(length: int, slope: float, intercept: float) -> np.ndarray:

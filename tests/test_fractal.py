@@ -49,6 +49,11 @@ def naive_dfa_d(series, window):
     return math.sqrt(np.mean(sq))
 
 
+def libm_log10(values):
+    """log10 of each value by math.log10, as the estimators' fits take it."""
+    return np.array([math.log10(v) for v in values])
+
+
 def per_window_dfa(series, windows):
     """Reference D(n) and alpha: fresh arrays per window and np.mean; dfa matches its bits."""
     x = np.asarray(series, dtype=float)
@@ -62,7 +67,7 @@ def per_window_dfa(series, windows):
         a, b = _line_fit(kc, (kc * kc).sum(), k.mean(), seg)
         resid = seg - (a[:, None] * k + b[:, None])
         d[i] = np.sqrt(np.mean(resid**2))
-    return d, _ols(np.log10(np.asarray(windows, dtype=float)), np.log10(d))[0]
+    return d, _ols(libm_log10(windows), libm_log10(d))[0]
 
 
 def per_window_rs(series, windows):
@@ -80,7 +85,7 @@ def per_window_rs(series, windows):
             used.append(w)
             means.append(float(np.mean(vals)))
     used, means = np.asarray(used, dtype=float), np.asarray(means)
-    return used, means, _ols(np.log10(used), np.log10(means))[0]
+    return used, means, _ols(libm_log10(used), libm_log10(means))[0]
 
 
 def bit_pin_series(name, n):
