@@ -10,9 +10,9 @@ deviations, R = max X - min X. There are two separate Hurst estimators: the
 pointwise one, ln(R/S) / ln(N/2) for a prefix of length N, and the regression
 one, which fits log of the block-averaged R/S against log of the block size.
 For each block size w the series is viewed as an (nblk, w) array of
-non-overlapping blocks and R/S is computed row-wise in one pass; a prefix is
-the one-row case. The associated fractal dimension of a self-affine record is
-2 - H.
+non-overlapping blocks and R/S is computed row-wise in one pass; the pointwise
+estimator measures each prefix with rs_statistic, the one-row case. The
+associated fractal dimension of a self-affine record is 2 - H.
 
 Every estimator reads its series through one prologue, which names a short
 series (ValueError) and an inf or NaN (DegenerateSeriesError); DFA and the R/S
@@ -216,8 +216,6 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
     usable = s != 0.0
     if ties:
         usable &= blocks.max(axis=1) != blocks.min(axis=1)
-    if usable.all():
-        return r / s
     return r[usable] / s[usable]
 
 
@@ -232,22 +230,19 @@ def rs_statistic(series) -> float:
 
 
 def hurst_pointwise(series) -> tuple[np.ndarray, list[int]]:
-    """H(N) = ln(R/S of prefix) / ln(N/2) over a geometric grid of prefix lengths.
+    """H(N) = ln(rs_statistic of prefix) / ln(N/2) over a geometric grid of prefix lengths.
 
     Returns (points, skipped): points is an (n, 2) array of (N, H(N)) rows, and
-    skipped lists the prefix lengths that were constant or had zero standard deviation.
+    skipped lists the prefix lengths where rs_statistic raised DegenerateSeriesError.
     """
     x = _series(series, 16, "hurst_pointwise", "R/S")[0]
-    ties = bool(np.any(x[1:] == x[:-1]))
     points: list[tuple[int, float]] = []
     skipped: list[int] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in _geometric_grid(16, x.size):
-            rs = _rescaled_ranges(x[None, :n], ties=ties)
-            if rs.size:
-                points.append((n, np.log(rs[0]) / np.log(n / 2.0)))
-            else:
-                skipped.append(int(n))
+    for n in _geometric_grid(16, x.size).tolist():
+        try:
+            points.append((n, np.log(rs_statistic(x[:n])) / np.log(n / 2.0)))
+        except DegenerateSeriesError:
+            skipped.append(n)
     return np.array(points, dtype=float).reshape(-1, 2), skipped
 
 

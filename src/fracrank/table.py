@@ -245,7 +245,10 @@ class Bundle:
     child, checks that no target is a directory, and only then renames the
     temp files into place, with the mode a plain ``open()`` would give them.
     On any error or interrupt it kills and reaps the child, unlinks the temp
-    files and removes the directories that it created.
+    files and removes the directories that it created. An interrupt
+    (KeyboardInterrupt or SystemExit) that arrives once the first temp file has
+    been renamed is raised only after the rest are renamed too, so outdir holds
+    every file of this run and none of an earlier one.
     """
 
     def __init__(self, outdir) -> None:
@@ -326,8 +329,17 @@ class Bundle:
         for _, target in self._staged:
             if target.is_dir() and not target.is_symlink():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-        for tmp, target in self._staged:
-            os.replace(tmp, target)
+        try:
+            for tmp, target in self._staged:
+                os.replace(tmp, target)
+        except (KeyboardInterrupt, SystemExit):
+            # Once one file is in place, stopping would leave two runs in outdir:
+            # rename the rest (a temp file that is gone is in place), then stop.
+            if self._staged and not os.path.lexists(self._staged[0][0]):
+                for tmp, target in self._staged:
+                    if os.path.lexists(tmp):
+                        os.replace(tmp, target)
+            raise
         self._staged.clear()
 
     def _abort(self) -> None:

@@ -789,6 +789,33 @@ class TestCommit:
         assert results[0].exit_code == 0, results[0].output
         assert read_dir(tmp_path / "b") == read_dir(tmp_path / "a")
 
+    @pytest.mark.parametrize("interrupt, code", [("sigterm", 143), ("ctrl_c", 1)])
+    def test_interrupt_between_renames_finishes_them(self, runner, tmp_path, monkeypatch,
+                                                     interrupt, code):
+        """An interrupt after the first rename still ends the run with its usual code,
+        but only once every file is renamed: --out never holds files of two runs."""
+        synth = ["synth", "--kind", "white", "--len", "64"]
+        out, new = tmp_path / "out", tmp_path / "new"
+        run_ok(runner, synth + ["--seed", "0", "--out", str(out)])
+        run_ok(runner, synth + ["--seed", "5", "--out", str(new)])
+        assert tree(out) != tree(new)
+        replace, targets = os.replace, []
+
+        def interrupted(src, dst):
+            targets.append(Path(dst).name)
+            if len(targets) == 2:
+                if interrupt == "ctrl_c":
+                    raise KeyboardInterrupt
+                signal.raise_signal(signal.SIGTERM)  # _run's handler raises SystemExit here
+            replace(src, dst)
+
+        monkeypatch.setattr(fracrank.table.os, "replace", interrupted)
+        result = runner.invoke(main, synth + ["--seed", "5", "--out", str(out)],
+                               catch_exceptions=False)
+        assert result.exit_code == code
+        assert targets[:2] == ["series.csv", "manifest.json"]
+        assert tree(out) == tree(new)
+
     def test_out_is_made_before_the_input_is_read(self, runner, tmp_path):
         """An --out below a regular file is reported, not the bad corpus."""
         corpus = tmp_path / "bad.jsonl"

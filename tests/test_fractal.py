@@ -690,6 +690,26 @@ class TestHurstPointwise:
         assert skipped == constant
         assert points[:, 0].min() > 64
 
+    @pytest.mark.parametrize("case", ["fgn", "constant_head", "rounded"])
+    def test_each_prefix_is_rs_statistic(self, case):
+        """Each point is ln(rs_statistic(x[:n])) / ln(n/2) bit for bit, and skipped
+        holds exactly the prefixes where rs_statistic raises."""
+        x = {
+            "fgn": lambda: fgn(4096, 0.75, 3),
+            "constant_head": lambda: np.concatenate([np.full(100, 0.25), white_noise(4000, 1)]),
+            "rounded": lambda: np.round(white_noise(4096, 2), 1),
+        }[case]()
+        want, want_skipped = [], []
+        for n in _geometric_grid(16, x.size).tolist():
+            try:
+                want.append((n, np.log(rs_statistic(x[:n])) / np.log(n / 2.0)))
+            except DegenerateSeriesError:
+                want_skipped.append(n)
+        points, skipped = hurst_pointwise(x)
+        assert skipped == want_skipped
+        assert bool(skipped) == (case == "constant_head")
+        assert points.tobytes() == np.array(want).tobytes()
+
 
 class TestHurstRegression:
     def test_minimum_length(self):

@@ -10,6 +10,11 @@ import json
 import math
 import subprocess
 
+import numpy as np
+
+from fracrank import fractal
+from fracrank.synth import white_noise
+
 from conftest import MICRO_MUTUAL_F_OF_Q, ROOT, load_script, run_python
 
 
@@ -56,15 +61,39 @@ def test_corpora_runs(tmp_path):
     assert [m[i] for i in range(64)] == want.tolist() and min(m.values()) >= 1
 
 
-def test_benchmark_traced_names_exist():
-    """Every function perfbench/tracing.py wraps exists, so every metric it feeds is recorded."""
+def load_tracing():
+    """perfbench/tracing.py as a module."""
     path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_traced_names_exist():
+    """Every function perfbench/tracing.py wraps exists, so every metric it feeds is recorded."""
+    tracing = load_tracing()
     tracer = tracing.Tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
     assert tracer.absent == set()
+
+
+def test_benchmark_rs_counters_count_pointwise_prefixes():
+    """hurst_pointwise measures each prefix with rs_statistic, so the benchmark's R/S
+    counters see one call per prefix and one degenerate call per skipped prefix."""
+    tracing = load_tracing()
+    x = np.concatenate([np.full(100, 0.25), white_noise(4000, 1)])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        points, skipped = fractal.hurst_pointwise(x)
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracer.take()
+    assert len(points) + len(skipped) == len(fractal._geometric_grid(16, x.size)) == 20
+    assert len(skipped) == 7
+    assert metrics[tracing.RS_CALLS] == 20
+    assert metrics[tracing.RS_DEGENERATE] == len(skipped)
