@@ -22,6 +22,7 @@ import json
 import math
 import signal
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -147,19 +148,11 @@ def run_analyze(options: dict, bundle: Bundle) -> None:
         "h_regression_r2": hres.h_r2,
         "fractal_dim": hres.fractal_dim,
         "poincare_cdf_mapped": cdf_mapped,
-        "occupied_cells": occ.occupied_cells,
-        "occupied_fraction": occ.occupied_fraction,
-        "chi2_uniform": occ.chi2_uniform,
+        **asdict(occ),
     }
     try:
         zf = zipf_fit(np.sort(values)[::-1], trim_fraction=options["trim"])
-        summary.update(
-            zipf_semilog_slope=zf.semilog_slope,
-            zipf_semilog_r2=zf.semilog_r2,
-            zipf_loglog_slope=zf.loglog_slope,
-            zipf_loglog_r2=zf.loglog_r2,
-            zipf_n_used=zf.n_used,
-        )
+        summary.update((f"zipf_{key}", value) for key, value in asdict(zf).items())
     except RankStatsError as exc:
         summary["zipf_error"] = str(exc)
     summary = {k: as_written(v) if isinstance(v, float) else v for k, v in summary.items()}

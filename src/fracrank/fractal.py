@@ -205,7 +205,8 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
     divided by the power of two of its own largest magnitude (exact), so the caller
     runs the first pass under np.errstate(over/invalid="ignore").
     A constant row's float mean can round (tiny S, R/S = w - 1); ``ties=False``
-    skips that constancy test, for a series with no two equal neighbours.
+    skips that constancy test, for rows that cannot be constant: those of a series
+    with no two equal neighbours, or one row whose min and max differ.
     """
     r, s = _ranges_and_sds(blocks, out)
     if not 2.0**-500 <= s.min() <= s.max() <= 2.0**500:  # also when an S is NaN
@@ -221,9 +222,9 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
 
 def rs_statistic(series) -> float:
     """Rescaled range R/S with population standard deviation S."""
-    x = _series(series, 2, "rs_statistic", "R/S")[0]
+    x, lo, hi = _series(series, 2, "rs_statistic", "R/S")
     with np.errstate(over="ignore", invalid="ignore"):
-        rs = _rescaled_ranges(x[None, :])
+        rs = _rescaled_ranges(x[None, :], ties=lo == hi)
     if rs.size == 0:
         raise DegenerateSeriesError("degenerate series: constant or zero standard deviation")
     return float(rs[0])

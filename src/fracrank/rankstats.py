@@ -28,6 +28,7 @@ class ZipfFit:
     ``semilog``: ln(value) vs rank (exponential decay model);
     ``loglog``: ln(value) vs ln(rank) (power-law model).
     ``n_used`` values are left after trimming both ends.
+    ``analyze`` writes each field to ``summary.json`` as ``zipf_<field>``.
     """
 
     semilog_slope: float
@@ -50,7 +51,10 @@ class PoincarePoints:
 
 @dataclass(frozen=True)
 class OccupancyReport:
-    """Cell occupancy of return-map points on a G x G grid over (0,1]^2."""
+    """Cell occupancy of return-map points on a G x G grid over (0,1]^2.
+
+    ``analyze`` writes each field to ``summary.json`` under its own name.
+    """
 
     occupied_cells: int
     occupied_fraction: float
@@ -74,7 +78,7 @@ def zipf_fit(sequence, trim_fraction: float) -> ZipfFit:
     if np.any(np.diff(vals) > 0):
         raise RankStatsError("sequence must be sorted non-increasing")
     t = int(np.floor(trim_fraction * n))
-    window = vals[t : n - t] if t > 0 else vals
+    window = vals[t : n - t]
     n_used = window.size
     if n_used < 4:
         raise RankStatsError("too few points after trimming (need >= 4)")

@@ -155,11 +155,10 @@ def _number_cells(column: np.ndarray) -> np.ndarray:
     np.maximum(cells[:, _DIGITS:_EXP:2], digits.view(np.uint8), out=cells[:, _DIGITS:_EXP:2])
     rows = np.flatnonzero(proven & (_FORM_ROW[x] == _EXPONENT_FORM_ROW))
     cells[rows, _EXP : _EXP + 5] = _EXPONENT[x[rows]]
-    rows = np.flatnonzero(~proven & (a != 0))
-    if rows.size:  # one batch; each text stands in its cell as it is
-        texts = ("%.12g\n" * rows.size % tuple(v[rows].tolist())).encode().split()
-        cells[rows] = np.frombuffer(b"".join(t.ljust(_WIDTH, b"\xff") for t in texts),
-                                    np.uint8).reshape(rows.size, _WIDTH)
+    rows = np.flatnonzero(~proven & (a != 0))  # one batch; each text stands in its cell as it is
+    texts = ("%.12g\n" * rows.size % tuple(v[rows].tolist())).encode().split()
+    cells[rows] = np.frombuffer(b"".join(t.ljust(_WIDTH, b"\xff") for t in texts),
+                                np.uint8).reshape(rows.size, _WIDTH)
     return cells
 
 

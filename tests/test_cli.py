@@ -270,6 +270,26 @@ class TestAnalyze:
         assert summary["poincare_cdf_mapped"] is True
         assert "zipf_error" in summary  # fGn has negative values
 
+    @pytest.mark.parametrize("synth_args, zipf_keys", [
+        (["--kind", "power", "--beta", "1"],
+         {"zipf_loglog_r2", "zipf_loglog_slope", "zipf_n_used", "zipf_semilog_r2",
+          "zipf_semilog_slope"}),
+        (["--kind", "fgn", "--h", "0.7"], {"zipf_error"}),  # fGn has negative values
+    ], ids=["zipf-fit", "zipf-error"])
+    def test_summary_key_set(self, runner, tmp_path, synth_args, zipf_keys):
+        # The occupancy and Zipf keys are the field names of OccupancyReport and
+        # ZipfFit: renaming a field renames a summary.json key, and fails here.
+        sdir = tmp_path / "s"
+        run_ok(runner, ["synth", *synth_args, "--len", "256", "--seed", "1", "--out", str(sdir)])
+        run_ok(runner, ["analyze", "--series", str(sdir / "series.csv"),
+                        "--out", str(tmp_path / "a")])
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert set(summary) == {
+            "alpha", "alpha_r2", "chi2_uniform", "fractal_dim", "h_regression",
+            "h_regression_r2", "n_values", "occupied_cells", "occupied_fraction",
+            "poincare_cdf_mapped",
+        } | zipf_keys
+
     def test_self_ranked_sequence_non_increasing(self, runner, tmp_path):
         corpus = tmp_path / "c.jsonl"
         # 80 documents: enough for every estimator, so the bundle is written.
