@@ -10,8 +10,10 @@ deviations, R = max X - min X. There are two separate Hurst estimators: the
 pointwise one, ln(R/S) / ln(N/2) for a prefix of length N, and the regression
 one, which fits log of the block-averaged R/S against log of the block size.
 For each block size w the series is viewed as an (nblk, w) array of
-non-overlapping blocks and R/S is computed row-wise in one pass; the pointwise
-estimator measures each prefix with rs_statistic, the one-row case. The
+non-overlapping blocks and R/S is computed row-wise in one pass, R by one
+reduceat per extreme; the pointwise estimator measures each prefix with
+rs_statistic, the one-row case. A constant block or prefix is left out, as is
+one with R == 0 (S == 0, or a mean rounded onto all values but the first). The
 associated fractal dimension of a self-affine record is 2 - H.
 
 Every estimator reads its series through one prologue, which names a short
@@ -190,16 +192,18 @@ def _ranges_and_sds(blocks: np.ndarray,
     w = blocks.shape[1]
     dev = np.subtract(blocks, np.add.reduce(blocks, axis=1, keepdims=True) / w, out=out)
     s = np.sqrt(np.add.reduce(dev * dev, axis=1) / w)
-    cum = np.cumsum(dev, axis=1, out=dev)
-    return cum.max(axis=1) - cum.min(axis=1), s
+    cum = np.cumsum(dev, axis=1, out=dev).reshape(-1)
+    starts = np.arange(0, cum.size, w)  # one reduceat per extreme: exact, no per-row cost
+    return np.maximum.reduceat(cum, starts) - np.minimum.reduceat(cum, starts), s
 
 
 def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
                      ties: bool = True) -> np.ndarray:
-    """R/S of every row of a 2-D block array, leaving out constant rows and rows with S == 0.
+    """R/S of every row of a 2-D block array, leaving out constant rows and rows with R == 0.
 
     The row-mean deviations, written into ``out`` if given, feed both S
     (population form) and the running sums whose range is R, formed in place.
+    R and the constancy test take one reduceat per extreme; R == 0 includes S == 0.
     Rows are finite and measured as given; a row whose S is outside [2**-500, 2**500]
     (squares subnormal or overflowing, so S may be inf or NaN) is measured again
     divided by the power of two of its own largest magnitude (exact), so the caller
@@ -214,9 +218,10 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
         rows = blocks[redo]
         e = np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1]
         r[redo], s[redo] = _ranges_and_sds(np.ldexp(rows, -e))
-    usable = s != 0.0
+    usable = r != 0.0
     if ties:
-        usable &= blocks.max(axis=1) != blocks.min(axis=1)
+        flat, starts = blocks.reshape(-1), np.arange(0, blocks.size, blocks.shape[1])
+        usable &= np.maximum.reduceat(flat, starts) != np.minimum.reduceat(flat, starts)
     return r[usable] / s[usable]
 
 
@@ -226,7 +231,7 @@ def rs_statistic(series) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         rs = _rescaled_ranges(x[None, :], ties=lo == hi)
     if rs.size == 0:
-        raise DegenerateSeriesError("degenerate series: constant or zero standard deviation")
+        raise DegenerateSeriesError("degenerate series: constant, or flat running sums (R == 0)")
     return float(rs[0])
 
 
@@ -241,7 +246,7 @@ def hurst_pointwise(series) -> tuple[np.ndarray, list[int]]:
     skipped: list[int] = []
     for n in _geometric_grid(16, x.size).tolist():
         try:
-            points.append((n, np.log(rs_statistic(x[:n])) / np.log(n / 2.0)))
+            points.append((n, math.log(rs_statistic(x[:n])) / math.log(n / 2.0)))
         except DegenerateSeriesError:
             skipped.append(n)
     return np.array(points, dtype=float).reshape(-1, 2), skipped
@@ -251,7 +256,7 @@ def hurst_regression(series, windows=None) -> HurstResult:
     """Multi-window R/S regression estimate of the Hurst index.
 
     For each block size w the R/S statistic is averaged over the floor(N/w)
-    non-overlapping blocks, leaving out constant blocks and blocks with S == 0;
+    non-overlapping blocks, leaving out constant blocks and blocks with R == 0;
     a window with no usable block is dropped. H is the OLS slope of
     log(mean R/S) vs log(w), and h_r2 the R^2 of that fit.
     """

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -10,7 +12,9 @@ import numpy as np
 import pytest
 
 from fracrank.corpus import Query, ingest_jsonl_path
+from fracrank.fractal import dfa, hurst_pointwise, hurst_regression
 from fracrank.relevance import score_corpus
+from fracrank.synth import fgn
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -92,14 +96,65 @@ def unit_scaled(series):
 def textbook_rs(block):
     """Textbook R/S of one block (numpy mean, population std, cumsum); None if degenerate.
 
-    A block is degenerate when it is constant or its standard deviation is 0.
+    A block is degenerate when it is constant or its running sums are flat (R == 0),
+    as they are when its standard deviation is 0.
     """
     block = np.asarray(block, dtype=float)
-    s = block.std()
-    if np.ptp(block) == 0.0 or s == 0.0:
-        return None
     cum = np.cumsum(block - block.mean())
-    return (cum.max() - cum.min()) / s
+    r = cum.max() - cum.min()
+    if np.ptp(block) == 0.0 or r == 0.0:
+        return None
+    return r / block.std()
+
+
+def flat_sums_series():
+    """1.00000000001, 399,999 ones, then 100,000 uniform values in [0, 1).
+
+    The float means of its 168,201- and 290,001-value prefixes round onto 1, so
+    every deviation but the first is 0: their running sums are flat (R == 0)
+    although S > 0. Both lengths are on hurst_pointwise's grid for 500,000 values.
+    """
+    rng = np.random.default_rng(1)
+    return np.concatenate([[1.00000000001], np.ones(399_999), rng.uniform(size=100_000)])
+
+
+def estimator_digest(length: int) -> str:
+    """SHA-256 over fgn(length, 0.75, 7) and every output of dfa, hurst_regression and
+    hurst_pointwise on it, in the byte layout that scripts/estimator_speed.py prints."""
+    x = fgn(length, 0.75, 7)
+    curve, rs, (points, skipped) = dfa(x), hurst_regression(x), hurst_pointwise(x)
+    data = b"".join(np.asarray(part).tobytes() for part in (
+        x, curve.windows, curve.d, [curve.alpha, curve.alpha_r2], rs.rs_windows,
+        rs.rs_means, [rs.h_regression, rs.h_r2], points, np.array(skipped, dtype=np.int64)))
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_at_simd_levels(*args) -> list[str]:
+    """stdout of ``python args`` at numpy's full SIMD level, with its AVX-512 targets
+    off, and with its AVX2 targets off too.
+
+    NPY_DISABLE_CPU_FEATURES takes only dispatched targets that this CPU has, so
+    the targets are read from numpy first.
+    """
+    probe = ("import json; from numpy._core._multiarray_umath import "
+             "__cpu_dispatch__ as d, __cpu_features__ as f; "
+             "print(json.dumps([t for t in d if f.get(t)]))")
+    found = run_python("-c", probe)
+    assert found.returncode == 0, found.stderr
+    targets = json.loads(found.stdout)
+    avx512 = [t for t in targets if t.startswith("AVX512") or t == "X86_V4"]
+    avx2 = avx512 + [t for t in targets if t in ("X86_V3", "AVX2", "FMA3", "AVX", "F16C")]
+    env = python_env()
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = []
+    for disabled in (None, avx512, avx2):
+        if disabled is not None:
+            env = dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+        proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, f"{disabled}: {proc.stderr}"
+        outputs.append(proc.stdout)
+    return outputs
 
 
 def assert_no_child_left():

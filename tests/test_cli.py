@@ -34,6 +34,7 @@ from conftest import (
     MICRO_MUTUAL_F_OF_Q,
     MICRO_Q,
     assert_no_child_left,
+    flat_sums_series,
     python_env,
     run_python,
     write_table,
@@ -448,6 +449,15 @@ class TestAnalyze:
         plain, large = summaries
         for key in ("alpha", "h_regression"):
             assert large[key] == pytest.approx(plain[key], abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_flat_running_sum_prefixes_left_out(self, runner, tmp_path):
+        # Two prefixes have R == 0 with S > 0; their ln(R/S) would be -inf, a value
+        # that no table may hold. They are skipped, and the run succeeds.
+        series = write_series(tmp_path / "flat.csv", flat_sums_series())
+        run_ok(runner, ["analyze", "--series", str(series), "--out", str(tmp_path / "a")])
+        n = np.loadtxt(tmp_path / "a" / "hurst_pointwise.csv", delimiter=",", skiprows=1)[:, 0]
+        assert n.size == 18 and not {168_201, 290_001} & set(n.tolist())
 
     @pytest.mark.parametrize("trim", ["2", "-1", "0.26"])
     def test_trim_out_of_range_is_usage_error(self, runner, tmp_path, trim):

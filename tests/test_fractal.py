@@ -25,7 +25,8 @@ from fracrank.fractal import (
 )
 from fracrank.synth import fgn, white_noise
 
-from conftest import textbook_rs, traced_peak, unit_scaled
+from conftest import (ROOT, estimator_digest, flat_sums_series, run_at_simd_levels, textbook_rs,
+                      traced_peak, unit_scaled)
 
 finite_series = npst.arrays(
     np.float64,
@@ -367,6 +368,53 @@ def test_stretches_have_degenerate_rs_blocks():
         assert np.any(np.ptp(blocks, axis=1) == 0.0)
 
 
+@st.composite
+def block_arrays(draw):
+    """(nblk, w) blocks with nblk >= 1 and w >= 2 (one row is the w = N case), each row
+    random, drawn from a few values (ties), or constant, then scaled by 1, 2^600 or 2^-600."""
+    nblk, w = draw(st.integers(1, 8)), draw(st.integers(2, 40))
+    pool = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3))
+    rows = []
+    for _ in range(nblk):
+        kind = draw(st.sampled_from(["random", "ties", "constant"]))
+        if kind == "random":
+            row = draw(npst.arrays(np.float64, w, elements=st.floats(-1e6, 1e6)))
+        else:
+            row = np.array(draw(st.lists(st.sampled_from(pool[:1] if kind == "constant" else pool),
+                                         min_size=w, max_size=w)))
+        rows.append(np.ldexp(row, draw(st.sampled_from([0, 600, -600]))))
+    return np.array(rows)
+
+
+@given(block_arrays())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_rs_kernel_matches_row_wise_reductions(blocks):
+    """R from reduceat over the flat running sums equals their row-wise max - min, S is
+    the population S, and the constancy test keeps exactly the rows with np.ptp != 0.
+
+    Equal as floats is bit for bit here, except that a zero R may take either sign;
+    such a row is left out either way.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, s = _ranges_and_sds(blocks)
+        dev = blocks - blocks.mean(axis=1, keepdims=True)
+        cum = np.cumsum(dev, axis=1)
+        np.testing.assert_array_equal(r, cum.max(axis=1) - cum.min(axis=1))
+        assert s.tobytes() == np.sqrt(np.mean(dev * dev, axis=1)).tobytes()
+        got = _rescaled_ranges(blocks, ties=True)
+        keep = np.ptp(blocks, axis=1) != 0.0
+        want = _rescaled_ranges(blocks[keep], ties=False) if keep.any() else np.empty(0)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_estimator_bits_do_not_depend_on_the_simd_level():
+    """dfa, hurst_regression and hurst_pointwise of fgn(2**16, 0.75, 7) hash alike with
+    numpy's AVX-512 targets off, and with its AVX2 targets off too."""
+    outputs = run_at_simd_levels(ROOT / "scripts" / "estimator_speed.py",
+                                 "--length", "65536", "--repeat", "1")
+    assert {out.splitlines()[-1] for out in outputs} == {f"sha256 {estimator_digest(2**16)}"}
+
+
 def test_cached_grids_and_bases_are_read_only():
     grid = _geometric_grid(4, 2048)
     with pytest.raises(ValueError, match="read-only"):
@@ -451,6 +499,16 @@ class TestRsStatistic:
         assert unit_scaled(x).std() != 0.0
         with pytest.raises(DegenerateSeriesError, match="degenerate"):
             rs_statistic(x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_flat_running_sums_are_degenerate(self):
+        # Each prefix's float mean rounds onto 1, so every deviation but the first is 0:
+        # R == 0 while S > 0, which would read R/S 0.0 and make ln(R/S) -inf.
+        x = flat_sums_series()
+        for n in (168_201, 290_001):
+            assert unit_scaled(x[:n]).std() != 0.0
+            with pytest.raises(DegenerateSeriesError, match="degenerate.*flat running sums"):
+                rs_statistic(x[:n])
 
     @given(finite_series)
     def test_matches_textbook_formula(self, x):
@@ -690,9 +748,15 @@ class TestHurstPointwise:
         assert skipped == constant
         assert points[:, 0].min() > 64
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_flat_running_sum_prefixes_skipped(self):
+        points, skipped = hurst_pointwise(flat_sums_series())
+        assert skipped == [168_201, 290_001]
+        assert points.shape == (18, 2) and np.isfinite(points).all()
+
     @pytest.mark.parametrize("case", ["fgn", "constant_head", "rounded"])
     def test_each_prefix_is_rs_statistic(self, case):
-        """Each point is ln(rs_statistic(x[:n])) / ln(n/2) bit for bit, and skipped
+        """Each point is ln(rs_statistic(x[:n])) / ln(n/2) by libm, bit for bit, and skipped
         holds exactly the prefixes where rs_statistic raises."""
         x = {
             "fgn": lambda: fgn(4096, 0.75, 3),
@@ -702,7 +766,7 @@ class TestHurstPointwise:
         want, want_skipped = [], []
         for n in _geometric_grid(16, x.size).tolist():
             try:
-                want.append((n, np.log(rs_statistic(x[:n])) / np.log(n / 2.0)))
+                want.append((n, math.log(rs_statistic(x[:n])) / math.log(n / 2.0)))
             except DegenerateSeriesError:
                 want_skipped.append(n)
         points, skipped = hurst_pointwise(x)

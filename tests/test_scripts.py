@@ -15,7 +15,7 @@ import numpy as np
 from fracrank import fractal
 from fracrank.synth import white_noise
 
-from conftest import MICRO_MUTUAL_F_OF_Q, ROOT, load_script, run_python
+from conftest import MICRO_MUTUAL_F_OF_Q, ROOT, estimator_digest, load_script, run_python
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -46,6 +46,15 @@ def test_table_speed_runs():
     lines = result.stdout.splitlines()
     assert [line.split()[0] for line in lines[2:5]] == ["fgn", "cdf", "wide"]
     assert lines[-1] == "bytes identical"
+
+
+def test_estimator_speed_runs():
+    result = run_script("estimator_speed.py", "--length", "1024", "--repeat", "2")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split()[0] for line in lines[1:5]] == [
+        "fgn", "dfa", "hurst_regression", "hurst_pointwise"]
+    assert lines[-1] == f"sha256 {estimator_digest(1024)}"
 
 
 def test_corpora_runs(tmp_path):

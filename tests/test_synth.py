@@ -1,8 +1,5 @@
 import decimal
 import hashlib
-import json
-import subprocess
-import sys
 from decimal import Decimal
 
 import numpy as np
@@ -24,7 +21,7 @@ from fracrank.synth import (
 )
 from fracrank.table import TableError
 
-from conftest import python_env, run_python, traced_peak, write_table
+from conftest import run_at_simd_levels, traced_peak, write_table
 
 
 def sample_autocov(x, lag):
@@ -182,28 +179,9 @@ class TestFgn:
         assert cold < budget + 8 * (n + 1), f"cold peak {cold / n:.1f} bytes per value"
 
     def test_bits_do_not_depend_on_the_simd_level(self):
-        # numpy's SIMD targets are switched off through NPY_DISABLE_CPU_FEATURES,
-        # which takes only dispatched targets that this CPU has.
-        probe = ("import json; from numpy._core._multiarray_umath import "
-                 "__cpu_dispatch__ as d, __cpu_features__ as f; "
-                 "print(json.dumps([t for t in d if f.get(t)]))")
-        found = run_python("-c", probe)
-        assert found.returncode == 0, found.stderr
-        targets = json.loads(found.stdout)
-        avx512 = [t for t in targets if t.startswith("AVX512") or t == "X86_V4"]
-        avx2 = avx512 + [t for t in targets if t in ("X86_V3", "AVX2", "FMA3", "AVX", "F16C")]
         script = ("import hashlib; from fracrank.synth import fgn; "
                   "print(hashlib.sha256(fgn(2**16, 0.75, 7).tobytes()).hexdigest())")
-        env = python_env()
-        env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        digests = set()
-        for disabled in (None, avx512, avx2):
-            if disabled is not None:
-                env = dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
-            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                                  timeout=120, env=env)
-            assert proc.returncode == 0, f"{disabled}: {proc.stderr}"
-            digests.add(proc.stdout.strip())
+        digests = {out.strip() for out in run_at_simd_levels("-c", script)}
         assert digests == {hashlib.sha256(fgn(2**16, 0.75, 7).tobytes()).hexdigest()}
 
     @pytest.mark.parametrize("n", [64, 2**16])
