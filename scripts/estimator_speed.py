@@ -4,7 +4,9 @@
 
 The series is ``fgn(length, 0.75, 7)``. ``fgn``, ``dfa``, ``hurst_regression``
 and ``hurst_pointwise`` are each called once to warm their caches, then timed
-over ``--repeat`` calls; the script prints each median in ms. The last line is
+over ``--repeat`` calls; the script prints each median in ms. ``fgn_cold`` then
+times ``fgn`` with its spectrum cache cleared before each call, so that it
+includes the autocovariance and the eigenvalue FFT. The last line is
 one SHA-256 over the bytes of every output: the series, DFA's windows, D(n),
 alpha and R^2, the R/S windows, means, H and R^2, and the pointwise points and
 skipped prefix lengths. Run under two source trees' ``PYTHONPATH``, the script
@@ -22,7 +24,7 @@ import time
 import numpy as np
 
 from fracrank.fractal import dfa, hurst_pointwise, hurst_regression
-from fracrank.synth import fgn
+from fracrank.synth import _sqrt_spectrum, fgn
 
 H, SEED = 0.75, 7
 
@@ -61,6 +63,8 @@ def main(argv=None) -> int:
         result, ms = timed(lambda: estimator(x), args.repeat)
         outputs.append(result)
         print(f"{estimator.__name__:<18}{ms:>10.3f} ms")
+    _, ms = timed(lambda: (_sqrt_spectrum.cache_clear(), fgn(args.length, H, SEED)), args.repeat)
+    print(f"{'fgn_cold':<18}{ms:>10.3f} ms")
     print(f"sha256 {output_digest(*outputs)}")
     return 0
 

@@ -23,7 +23,7 @@ class RankStatsError(ValueError):
 
 @dataclass(frozen=True)
 class ZipfFit:
-    """Two-way fit of a sorted positive sequence against rank.
+    """Two-way fit of positive values against their rank.
 
     ``semilog``: ln(value) vs rank (exponential decay model);
     ``loglog``: ln(value) vs ln(rank) (power-law model).
@@ -64,10 +64,10 @@ class OccupancyReport:
 def zipf_fit(sequence, trim_fraction: float) -> ZipfFit:
     """Fit ln(value) against rank and against ln(rank) after trimming both ends.
 
-    The sequence must be finite and sorted non-increasing; floor(trim_fraction * N)
-    ranks are dropped from each end and at least 4 strictly positive values must
-    remain, not all written alike (``fracrank.table.as_written``). Rank
-    numbering keeps the original 1-based positions.
+    The sequence must be finite, in any order: value i of it sorted
+    non-increasing has rank i (1-based). floor(trim_fraction * N) ranks are
+    dropped from each end and at least 4 strictly positive values must remain,
+    not all written alike (``fracrank.table.as_written``).
     """
     vals = np.asarray(sequence, dtype=float)
     n = vals.size
@@ -75,15 +75,14 @@ def zipf_fit(sequence, trim_fraction: float) -> ZipfFit:
         raise RankStatsError(f"trim_fraction must be in [0, {MAX_TRIM}]")
     if not np.isfinite(vals).all():
         raise RankStatsError("non-finite value in the sequence")
-    if np.any(np.diff(vals) > 0):
-        raise RankStatsError("sequence must be sorted non-increasing")
     t = int(np.floor(trim_fraction * n))
-    window = vals[t : n - t]
-    n_used = window.size
+    n_used = n - 2 * t
     if n_used < 4:
         raise RankStatsError("too few points after trimming (need >= 4)")
-    if np.any(window <= 0):
+    # Ranks t + 1..n - t are all positive iff n - t values are.
+    if np.count_nonzero(vals > 0) < n - t:
         raise RankStatsError("nonpositive value inside the trimmed window")
+    window = np.sort(vals)[::-1][t : n - t]
     if as_written(window[0]) == as_written(window[-1]):
         # Sorted, so all values are written alike: R² is noise.
         raise RankStatsError("no spread in the trimmed window")

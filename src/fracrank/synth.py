@@ -48,11 +48,11 @@ def white_noise(length: int, seed: int) -> np.ndarray:
     return rng.standard_normal(length)
 
 
-def fgn_autocovariance(h: float, lags) -> np.ndarray:
-    """fGn autocovariance gamma(k) for unit-variance increments.
+def fgn_autocovariance(h: float, n: int) -> np.ndarray:
+    """fGn autocovariance gamma(0..n) for unit-variance increments.
 
     gamma(k) = 0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}) is computed as written
-    for |k| < 2. For |k| >= 2 that difference cancels, and its error would grow
+    for k < 2. For k >= 2 that difference cancels, and its error would grow
     with the lag, so it is summed as the even binomial series
 
         gamma(k) = k^{2H} * sum_{j>=1} C(2H, 2j) k^{-2j},
@@ -60,30 +60,26 @@ def fgn_autocovariance(h: float, lags) -> np.ndarray:
     whose terms share one sign: 30 of them below lag 64, 6 above. Every power is
     one ``math.pow`` call, because numpy's transcendental functions round
     differently at different SIMD levels; the rest is arithmetic that IEEE
-    rounds alike everywhere. The lags are taken in blocks of ``_BLOCK``, so that
-    the temporaries stay small beside the result.
+    rounds alike everywhere. The lags from 2 are taken in blocks of ``_BLOCK``,
+    so that the temporaries stay small beside the result.
     """
     a = 2.0 * h
-    k = np.abs(np.asarray(lags, dtype=float))
-    gamma = np.empty(k.shape)
-    flat_k, flat_g = k.reshape(-1), gamma.reshape(-1)
+    gamma = np.empty(n + 1)
+    for k in range(min(n + 1, 2)):
+        gamma[k] = 0.5 * (math.pow(k + 1.0, a) - 2.0 * math.pow(k, a) + math.pow(abs(k - 1.0), a))
     coef = [1.0]
     for m in range(1, 61):  # C(a, m) = C(a, m - 1) * (a - m + 1) / m
         coef.append(coef[-1] * (a - m + 1) / m)
     coef = coef[2::2]  # C(a, 2j) for j = 1..30
-    for lo in range(0, flat_k.size, _BLOCK):
-        kb = flat_k[lo : lo + _BLOCK]
-        gb = flat_g[lo : lo + _BLOCK]
+    for lo in range(2, n + 1, _BLOCK):
+        kb = np.arange(lo, min(lo + _BLOCK, n + 1), dtype=float)
+        gb = gamma[lo : lo + kb.size]
         gb[:] = np.fromiter(map(math.pow, memoryview(kb), repeat(a)), float, kb.size)
-        k2 = np.maximum(kb, 2.0)  # lags below 2 are replaced below
-        u = 1.0 / (k2 * k2)
+        u = 1.0 / (kb * kb)
         s = _even_series(coef[:6], u)
-        near = kb < 64.0
-        s[near] = _even_series(coef, u[near])
+        near = max(0, 64 - lo)  # lags below 64
+        s[:near] = _even_series(coef, u[:near])
         gb *= s
-    for i in np.flatnonzero(flat_k < 2.0):
-        x = float(flat_k[i])
-        flat_g[i] = 0.5 * (math.pow(x + 1.0, a) - 2.0 * math.pow(x, a) + math.pow(abs(x - 1.0), a))
     return gamma
 
 
@@ -103,7 +99,7 @@ def _sqrt_spectrum(n: int, target_h: float) -> np.ndarray:
     These depend only on (n, H), so they are computed once per pair; the array
     is read-only because every later call shares it.
     """
-    gamma = fgn_autocovariance(target_h, np.arange(n + 1))
+    gamma = fgn_autocovariance(target_h, n)
     # The first row, gamma(0..n) then gamma(n-1..1), is real and even, so its
     # eigenvalues are the real parts of its real FFT, eig[0..n].
     row = np.concatenate((gamma, gamma[-2:0:-1]))

@@ -22,7 +22,7 @@ differ from "%.12g": it is either that text or built from digits proven equal
 to it. About 0.2% of an fGn series and 0.4% of its CDF map take the "%" path.
 Each cell is a fixed-width row of bytes with 0xFF in the places a value does
 not use (UTF-8 never holds 0xFF); one ``bytes.translate`` per chunk deletes
-them. At 2^20 values, ``sequence.csv`` and ``poincare.csv`` take about 0.35 s
+them. At 2^20 values, ``sequence.csv`` and ``poincare.csv`` take about 0.33 s
 to format and write in process on a 2-vCPU VM, against about 0.8 s when every
 value went through "%".
 

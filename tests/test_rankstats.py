@@ -107,13 +107,27 @@ class TestZipfFit:
         fit = zipf_fit(np.arange(100, 0, -1, dtype=float), trim_fraction=0.1)
         assert fit.n_used == 80
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(RankStatsError, match="non-increasing"):
-            zipf_fit([1.0, 2.0, 1.0, 0.5], trim_fraction=0.05)
+    @given(st.permutations(np.r_[np.repeat([9.0, 7.0, 4.0, 2.5, 1.0, 0.5], 3), 0.0, -0.0]))
+    @settings(max_examples=50)
+    def test_any_order_fits_as_sorted(self, values):
+        # Ties inside the window, and ±0.0 trimmed off its low end (n = 20, t = 2).
+        want = zipf_fit(np.repeat([9.0, 7.0, 4.0, 2.5, 1.0, 0.5, 0.0], [3] * 6 + [2]), 0.1)
+        assert zipf_fit(values, trim_fraction=0.1) == want
+
+    def test_window_may_end_at_the_last_positive_value(self):
+        # n = 20, t = 2: the window is ranks 3..18, so n - t = 18 positive values fit.
+        values = np.r_[-3.0, 5e-324, 0.0, np.arange(17.0, 0.0, -1.0)]
+        assert zipf_fit(values, trim_fraction=0.1).n_used == 16
 
     def test_nonpositive_inside_window(self):
         with pytest.raises(RankStatsError, match="nonpositive"):
             zipf_fit([3.0, 2.0, 1.0, 0.0], trim_fraction=0.0)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_one_positive_value_too_few(self, zero):
+        # n - t - 1 = 17 positive values: rank 18, inside the window, is the zero.
+        with pytest.raises(RankStatsError, match="nonpositive value inside the trimmed window"):
+            zipf_fit(np.r_[-3.0, -1.0, zero, np.arange(17.0, 0.0, -1.0)], trim_fraction=0.1)
 
     def test_too_few_points(self):
         with pytest.raises(RankStatsError, match="too few"):

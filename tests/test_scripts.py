@@ -52,8 +52,8 @@ def test_estimator_speed_runs():
     result = run_script("estimator_speed.py", "--length", "1024", "--repeat", "2")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert [line.split()[0] for line in lines[1:5]] == [
-        "fgn", "dfa", "hurst_regression", "hurst_pointwise"]
+    assert [line.split()[0] for line in lines[1:6]] == [
+        "fgn", "dfa", "hurst_regression", "hurst_pointwise", "fgn_cold"]
     assert lines[-1] == f"sha256 {estimator_digest(1024)}"
 
 

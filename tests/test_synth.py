@@ -37,7 +37,7 @@ def reference_fgn(length, target_h, seed):
     """
     n = length
     m = 2 * n
-    gamma = fgn_autocovariance(target_h, np.arange(n + 1))
+    gamma = fgn_autocovariance(target_h, n)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     eig = np.fft.fft(row).real
     assert eig.min() >= -1e-8
@@ -206,9 +206,10 @@ class TestFgn:
     def test_autocov_matches_closed_form(self, h):
         n = 2**20
         x = fgn(n, h, 3)
+        gamma = fgn_autocovariance(h, 5)
         for lag in range(6):
             got = sample_autocov(x, lag)
-            want = float(fgn_autocovariance(h, lag))
+            want = float(gamma[lag])
             # 3 standard errors of the lag-covariance estimator, conservatively.
             se = 3 * np.sqrt(2.0 / n) * max(1.0, abs(want))
             assert abs(got - want) < max(se, 0.02)
@@ -217,9 +218,17 @@ class TestFgn:
     def test_autocovariance_matches_decimal_reference(self, h):
         lags = sorted({0, 1, 2, 3, 63, 64, 65, 2**20}
                       | {int(v) for v in np.geomspace(2, 2**20, 42)})
-        got = fgn_autocovariance(h, lags)
+        got = fgn_autocovariance(h, 2**20)[lags]
         want = np.array([decimal_autocovariance(h, k) for k in lags])
         np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+
+    @pytest.mark.parametrize("h", [0.05, 0.5, 0.95])
+    def test_autocovariance_is_a_prefix_of_a_longer_one(self, h):
+        # Lags 0, 1 by the formula, 2..63 by 30 terms, 64.. by 6, and the block edge.
+        full = fgn_autocovariance(h, 2**16)
+        assert full.shape == (2**16 + 1,) and full[0] == 1.0
+        for m in (0, 1, 2, 63, 64, 65, 2**15 + 1, 2**15 + 2):
+            assert fgn_autocovariance(h, m).tobytes() == full[: m + 1].tobytes(), m
 
 
 class TestLinearTrend:
