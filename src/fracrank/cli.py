@@ -44,7 +44,7 @@ from fracrank.rankstats import (
     poincare_map,
     zipf_fit,
 )
-from fracrank.relevance import Measure, RelevanceTable, mutual_sequence, score_corpus
+from fracrank.relevance import MEASURES, RelevanceTable, mutual_sequence, score_corpus
 from fracrank.synth import (
     SynthError,
     fgn,
@@ -116,8 +116,8 @@ def _load_sequence(options: dict) -> np.ndarray:
         return read_series_csv(options["series"])
     return mutual_sequence(
         RelevanceTable.from_csv(options["scores"]),
-        ranked_by=Measure(options["ranked_by"]),
-        read_off=Measure(options["read_off"]),
+        ranked_by=options["ranked_by"],
+        read_off=options["read_off"],
         include_zero_scores=options["include_zero_scores"],
     )
 
@@ -173,13 +173,16 @@ def run_synth(options: dict, bundle: Bundle) -> None:
     for option in _GENERATOR_OPTIONS:
         if option not in required + optional and options[option] not in (None, defaults[option]):
             raise click.UsageError(f"--kind {name} does not read --{option}")
+    overflow = click.UsageError(f"--kind {name} overflows: the series has a non-finite value")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             values = generate(options)
     except SynthError as exc:
         raise click.UsageError(str(exc)) from exc
+    except OverflowError as exc:  # raised by math.exp (power), where numpy gives an inf
+        raise overflow from exc
     if not np.isfinite(values).all():
-        raise click.UsageError(f"--kind {name} overflows: the series has a non-finite value")
+        raise overflow
     bundle.write("series.csv", write_series_csv(values))
 
 
@@ -275,8 +278,8 @@ def score(out, **options):
 @main.command()
 @click.option("--scores", type=click.Path(exists=True, dir_okay=False))
 @click.option("--series", type=click.Path(exists=True, dir_okay=False))
-@click.option("--ranked-by", type=click.Choice(["f", "q"]), default="q", show_default=True)
-@click.option("--read-off", type=click.Choice(["f", "q"]), default="f", show_default=True)
+@click.option("--ranked-by", type=click.Choice(MEASURES), default="q", show_default=True)
+@click.option("--read-off", type=click.Choice(MEASURES), default="f", show_default=True)
 @click.option("--trim", type=click.FloatRange(0.0, MAX_TRIM), default=0.05, show_default=True)
 @click.option("--grid", type=click.IntRange(1, math.isqrt(MAX_GRID_CELLS)), default=32,
               show_default=True)

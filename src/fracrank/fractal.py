@@ -162,7 +162,7 @@ def dfa(series, windows=None) -> FluctuationCurve:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 distinct windows")
     prof = np.cumsum(x - x.mean())  # the profile y(k) = sum_{i<=k} (x_i - mean)
     d = np.empty(windows.size)
-    scratch = np.empty(prof.size)
+    scratch = np.empty(prof.size)  # kept: a fresh buffer per window made dfa ~10% slower
     for i, n in enumerate(windows.tolist()):
         nseg = prof.size // n
         seg = prof[: nseg * n].reshape(nseg, n)
@@ -186,23 +186,21 @@ def dfa(series, windows=None) -> FluctuationCurve:
     return FluctuationCurve(windows=windows, d=d, alpha=alpha, alpha_r2=r2)
 
 
-def _ranges_and_sds(blocks: np.ndarray,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """R and population S of every row; the deviations are formed in ``out`` if given."""
+def _ranges_and_sds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and population S of every row."""
     w = blocks.shape[1]
-    dev = np.subtract(blocks, np.add.reduce(blocks, axis=1, keepdims=True) / w, out=out)
+    dev = blocks - np.add.reduce(blocks, axis=1, keepdims=True) / w
     s = np.sqrt(np.add.reduce(dev * dev, axis=1) / w)
     cum = np.cumsum(dev, axis=1, out=dev).reshape(-1)
     starts = np.arange(0, cum.size, w)  # one reduceat per extreme: exact, no per-row cost
     return np.maximum.reduceat(cum, starts) - np.minimum.reduceat(cum, starts), s
 
 
-def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
-                     ties: bool = True) -> np.ndarray:
+def _rescaled_ranges(blocks: np.ndarray, ties: bool = True) -> np.ndarray:
     """R/S of every row of a 2-D block array, leaving out constant rows and rows with R == 0.
 
-    The row-mean deviations, written into ``out`` if given, feed both S
-    (population form) and the running sums whose range is R, formed in place.
+    The row-mean deviations feed both S (population form) and the running sums
+    whose range is R, formed in place.
     R and the constancy test take one reduceat per extreme; R == 0 includes S == 0.
     Rows are finite and measured as given; a row whose S is outside [2**-500, 2**500]
     (squares subnormal or overflowing, so S may be inf or NaN) is measured again
@@ -212,7 +210,7 @@ def _rescaled_ranges(blocks: np.ndarray, out: np.ndarray | None = None,
     skips that constancy test, for rows that cannot be constant: those of a series
     with no two equal neighbours, or one row whose min and max differ.
     """
-    r, s = _ranges_and_sds(blocks, out)
+    r, s = _ranges_and_sds(blocks)
     if not 2.0**-500 <= s.min() <= s.max() <= 2.0**500:  # also when an S is NaN
         redo = ~((2.0**-500 <= s) & (s <= 2.0**500))
         rows = blocks[redo]
@@ -267,13 +265,11 @@ def hurst_regression(series, windows=None) -> HurstResult:
                            "R/S windows must satisfy 2 <= w <= N")
     used_w: list[int] = []
     means: list[float] = []
-    scratch = np.empty(x.size)
     ties = bool(np.any(x[1:] == x[:-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for w in windows.tolist():
             nblk = x.size // w
-            vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w),
-                                    scratch[: nblk * w].reshape(nblk, w), ties)
+            vals = _rescaled_ranges(x[: nblk * w].reshape(nblk, w), ties)
             if vals.size:
                 used_w.append(w)
                 means.append(float(vals.sum() / vals.size))

@@ -14,7 +14,6 @@ reads off the other measure's values in that rank order.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -26,15 +25,11 @@ from fracrank.table import format_table, read_table
 
 
 _CSV_HEADER = ("id", "raw_f", "raw_q", "f", "q")
+MEASURES = ("f", "q")  # the normalized measures, by their scores.csv column names
 
 
 class RelevanceError(ValueError):
     """Raised when scoring preconditions fail."""
-
-
-class Measure(str, enum.Enum):
-    F = "f"
-    Q = "q"
 
 
 @dataclass(frozen=True)
@@ -54,9 +49,6 @@ class RelevanceTable:
     def zero_score(self) -> np.ndarray:
         """Flags documents containing no query term at all."""
         return self.raw_f == 0.0
-
-    def scores(self, measure: Measure) -> np.ndarray:
-        return self.f if measure is Measure.F else self.q
 
     def to_csv(self) -> Iterator[str]:
         """scores.csv as text chunks (``fracrank.table`` dialect), rows in ingestion order."""
@@ -100,20 +92,24 @@ def score_corpus(documents: tuple[Document, ...], query: Query) -> RelevanceTabl
 
 def mutual_sequence(
     table: RelevanceTable,
-    ranked_by: Measure,
-    read_off: Measure,
+    ranked_by: str,
+    read_off: str,
     include_zero_scores: bool,
 ) -> np.ndarray:
     """Values of ``read_off`` read in the rank order induced by ``ranked_by``.
 
+    Both name a measure in ``MEASURES``; any other name raises RelevanceError.
     Documents are ranked by descending ``ranked_by`` score with a stable sort,
     so ties keep ingestion order. With ``include_zero_scores=False`` documents
     matching no query term are dropped before ranking (their normalized scores
     sit at exactly 0, outside the open interval the measures are meant to occupy).
     """
-    order = np.argsort(-table.scores(ranked_by), kind="stable")
+    for name in (ranked_by, read_off):
+        if name not in MEASURES:
+            raise RelevanceError(f"unknown measure {name!r}: expected one of {', '.join(MEASURES)}")
+    order = np.argsort(-getattr(table, ranked_by), kind="stable")
     if not include_zero_scores:
         order = order[~table.zero_score[order]]
         if order.size == 0:
             raise RelevanceError("no nonzero-score documents to sequence")
-    return table.scores(read_off)[order]
+    return getattr(table, read_off)[order]

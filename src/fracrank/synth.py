@@ -2,9 +2,9 @@
 
 All randomness comes from numpy's PCG64 bit generator (``numpy.random.default_rng``),
 so a generator called with the same arguments and seed reproduces its series
-bit-for-bit on the same numpy version. Fractional Gaussian noise is generated
-by circulant embedding (Davies-Harte), which realizes the exact target
-autocovariance
+bit-for-bit on the same numpy version, at every SIMD level. Fractional
+Gaussian noise is generated by circulant embedding (Davies-Harte), which
+realizes the exact target autocovariance
 
     gamma(k) = 0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
@@ -152,7 +152,7 @@ def linear_trend(length: int, slope: float, intercept: float) -> np.ndarray:
 
 
 def power_law_ranks(length: int, beta: float, noise: float, seed: int) -> np.ndarray:
-    """Non-increasing positive sequence r^(-beta) * exp(noise * g_r), re-sorted."""
+    """r^(-beta) * exp(noise * g_r), sorted non-increasing; OverflowError if an exp overflows."""
     if length < 2:
         raise SynthError("length must be >= 2")
     if beta <= 0:
@@ -160,8 +160,10 @@ def power_law_ranks(length: int, beta: float, noise: float, seed: int) -> np.nda
     if noise < 0:
         raise SynthError("noise must be >= 0")
     rng = np.random.default_rng(seed)
-    r = np.arange(1, length + 1, dtype=float)
-    vals = r**-beta * np.exp(noise * rng.standard_normal(length))
+    # libm's powers and exps, as numpy's vary with the SIMD level; r^-1 is 1 / r, as r**-1 is.
+    r = range(1, length + 1)
+    pw = np.divide(1.0, r) if beta == 1.0 else np.fromiter(map(math.pow, r, repeat(-beta)), float)
+    vals = pw * np.fromiter(map(math.exp, (noise * rng.standard_normal(length)).tolist()), float)
     return np.sort(vals)[::-1]
 
 

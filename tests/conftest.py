@@ -107,6 +107,21 @@ def textbook_rs(block):
     return r / block.std()
 
 
+def naive_dfa_d(series, window):
+    """Reference D(n): materialize every segment, fit with np.polyfit, pool residuals."""
+    x = np.asarray(series, dtype=float)
+    prof = np.cumsum(x - x.mean())
+    nseg = prof.size // window
+    sq = []
+    for s in range(nseg):
+        seg = prof[s * window : (s + 1) * window]
+        k = np.arange(1, window + 1, dtype=float)
+        coeffs = np.polyfit(k, seg, 1)
+        resid = seg - np.polyval(coeffs, k)
+        sq.extend(resid**2)
+    return math.sqrt(np.mean(sq))
+
+
 def flat_sums_series():
     """1.00000000001, 399,999 ones, then 100,000 uniform values in [0, 1).
 

@@ -12,18 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from scipy import stats
 
 from fracrank.cli import main as cli_main
 from fracrank.corpus import Query, ingest_jsonl_path
 from fracrank.fractal import dfa, hurst_regression, rs_statistic
 from fracrank.rankstats import empirical_cdf_map, occupancy_stats, poincare_map, zipf_fit
-from fracrank.relevance import Measure, mutual_sequence, score_corpus
+from fracrank.relevance import mutual_sequence, score_corpus
 from fracrank.synth import fgn, power_law_ranks, read_series_csv, white_noise
 from fracrank.table import as_written
 
-from conftest import (MICRO_CORPUS, load_brute_force_oracle, load_script, textbook_rs,
-                      unit_scaled)
+from conftest import (MICRO_CORPUS, load_brute_force_oracle, load_script, naive_dfa_d,
+                      textbook_rs, unit_scaled)
 
 N_SEEDS = 50
 SERIES_LEN = 8192
@@ -82,7 +81,7 @@ def test_micro_corpus_golden():
 
     corpus = ingest_jsonl_path(MICRO_CORPUS)
     table = score_corpus(corpus, Query(("alpha", "beta")))
-    seq = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=True)
+    seq = mutual_sequence(table, "q", "f", include_zero_scores=True)
 
     ok = (
         np.allclose(table.f, f_expected, atol=1e-9)
@@ -95,19 +94,6 @@ def test_micro_corpus_golden():
            f"f={table.f.tolist()}, mutual={seq.tolist()}")
 
 
-def _naive_dfa_d(series, window):
-    x = np.asarray(series, dtype=float)
-    prof = np.cumsum(x - x.mean())
-    nseg = prof.size // window
-    sq = []
-    for s in range(nseg):
-        seg = prof[s * window : (s + 1) * window]
-        k = np.arange(1, window + 1, dtype=float)
-        coeffs = np.polyfit(k, seg, 1)
-        sq.extend((seg - np.polyval(coeffs, k)) ** 2)
-    return math.sqrt(np.mean(sq))
-
-
 def test_dfa_oracle_equivalence():
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -116,7 +102,7 @@ def test_dfa_oracle_equivalence():
         x = rng.standard_normal(n)
         curve = dfa(x)
         for w, d in zip(curve.windows, curve.d):
-            worst = max(worst, abs(d - _naive_dfa_d(x, int(w))))
+            worst = max(worst, abs(d - naive_dfa_d(x, int(w))))
     report("DFA oracle equivalence (naive reference, 1e-9)", worst <= 1e-9,
            f"max |diff| = {worst:.2e}")
 
@@ -153,8 +139,10 @@ def test_zipf_exactness_and_recovery():
 def test_poincare_occupancy_discrimination():
     g = 32
     dof = g * g - 1
-    lo, hi = stats.chi2.ppf(0.005, dof), stats.chi2.ppf(0.995, dof)
-    p99 = stats.chi2.ppf(0.99, dof)
+    # chi-square quantiles for dof = 1023 at p = 0.005, 0.995 and 0.99, as
+    # scipy.stats.chi2.ppf (scipy 1.17.1) gives them.
+    lo, hi = 910.2463086064963, 1143.2653170252513
+    p99 = 1131.158738963494
 
     uniform_in = 0
     for seed in range(N_SEEDS):

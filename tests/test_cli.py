@@ -17,7 +17,7 @@ from click.testing import CliRunner
 import fracrank.rankstats
 import fracrank.table
 from fracrank.cli import main
-from fracrank.relevance import Measure, RelevanceTable, mutual_sequence
+from fracrank.relevance import RelevanceTable, mutual_sequence
 from fracrank.synth import (
     fgn,
     linear_trend,
@@ -251,7 +251,7 @@ class TestAnalyze:
         assert result.exit_code != 0
         assert not (tmp_path / "a").exists()
         table = RelevanceTable.from_csv(score_dir / "scores.csv")
-        seq = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=False)
+        seq = mutual_sequence(table, "q", "f", include_zero_scores=False)
         np.testing.assert_allclose(seq, MICRO_MUTUAL_F_OF_Q, atol=1e-11)
 
     def test_fgn_series_full_bundle(self, runner, tmp_path):
@@ -364,7 +364,28 @@ class TestAnalyze:
         assert list(table.ids) == ids
         run_ok(runner, ["analyze", "--scores", str(sdir / "scores.csv"),
                         "--out", str(tmp_path / "a")])
-        seq = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=False)
+        seq = mutual_sequence(table, "q", "f", include_zero_scores=False)
+        np.testing.assert_array_equal(read_series_csv(tmp_path / "a" / "sequence.csv"),
+                                      [float(f"{v:.12g}") for v in seq])
+
+    @pytest.mark.parametrize("include_zero", [False, True])
+    @pytest.mark.parametrize("read_off", ["f", "q"])
+    @pytest.mark.parametrize("ranked_by", ["f", "q"])
+    def test_sequence_is_mutual_sequence(self, runner, tmp_path, ranked_by, read_off, include_zero):
+        # Ties in both measures, and every 28th document matches no query term.
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"d{i}", "text": "alpha " * (i % 7) + "beta " * (i % 4)
+                        + "pad " * (i % 11 + 1)}) + "\n" for i in range(200)))
+        sdir = tmp_path / "s"
+        run_ok(runner, ["score", "--corpus", str(corpus), "--query", "alpha beta",
+                        "--out", str(sdir)])
+        run_ok(runner, ["analyze", "--scores", str(sdir / "scores.csv"), "--ranked-by", ranked_by,
+                        "--read-off", read_off, "--out", str(tmp_path / "a")]
+               + ["--include-zero-scores"] * include_zero)
+        table = RelevanceTable.from_csv(sdir / "scores.csv")
+        seq = mutual_sequence(table, ranked_by, read_off, include_zero_scores=include_zero)
+        assert seq.size == (200 if include_zero else 192)
         np.testing.assert_array_equal(read_series_csv(tmp_path / "a" / "sequence.csv"),
                                       [float(f"{v:.12g}") for v in seq])
 

@@ -25,29 +25,14 @@ from fracrank.fractal import (
 )
 from fracrank.synth import fgn, white_noise
 
-from conftest import (ROOT, estimator_digest, flat_sums_series, run_at_simd_levels, textbook_rs,
-                      traced_peak, unit_scaled)
+from conftest import (ROOT, estimator_digest, flat_sums_series, naive_dfa_d, run_at_simd_levels,
+                      textbook_rs, traced_peak, unit_scaled)
 
 finite_series = npst.arrays(
     np.float64,
     st.integers(min_value=2, max_value=64),
     elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
-
-
-def naive_dfa_d(series, window):
-    """Reference D(n): materialize every segment, fit with np.polyfit, pool residuals."""
-    x = np.asarray(series, dtype=float)
-    prof = np.cumsum(x - x.mean())
-    nseg = prof.size // window
-    sq = []
-    for s in range(nseg):
-        seg = prof[s * window : (s + 1) * window]
-        k = np.arange(1, window + 1, dtype=float)
-        coeffs = np.polyfit(k, seg, 1)
-        resid = seg - np.polyval(coeffs, k)
-        sq.extend(resid**2)
-    return math.sqrt(np.mean(sq))
 
 
 def libm_log10(values):

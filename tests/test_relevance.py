@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fracrank.corpus import CorpusError, Document, Query, ingest_jsonl, ingest_jsonl_path
 from fracrank.relevance import (
-    Measure,
     RelevanceError,
     RelevanceTable,
     mutual_sequence,
@@ -148,20 +147,20 @@ def _scaled_table(table: RelevanceTable, factor: float) -> RelevanceTable:
     )
 
 
-def rank_by(table: RelevanceTable, measure: Measure) -> list[int]:
+def rank_by(table: RelevanceTable, measure: str) -> list[int]:
     """The rank order mutual_sequence uses: it reads document indices off the other measure."""
-    other = Measure.Q if measure is Measure.F else Measure.F
+    other = "q" if measure == "f" else "f"
     indices = np.arange(len(table.ids), dtype=float)
-    indexed = dataclasses.replace(table, **{other.value: indices})
+    indexed = dataclasses.replace(table, **{other: indices})
     return mutual_sequence(indexed, measure, other, include_zero_scores=True).astype(int).tolist()
 
 
 class TestRankBy:
     def test_rank_by_q(self, micro_table):
-        assert rank_by(micro_table, Measure.Q) == [0, 2, 1]  # d1, d3, d2
+        assert rank_by(micro_table, "q") == [0, 2, 1]  # d1, d3, d2
 
     def test_rank_by_f(self, micro_table):
-        assert rank_by(micro_table, Measure.F) == [2, 0, 1]  # d3, d1, d2
+        assert rank_by(micro_table, "f") == [2, 0, 1]  # d3, d1, d2
 
     def test_ties_keep_ingestion_order(self):
         corpus = ingest_jsonl([
@@ -170,34 +169,45 @@ class TestRankBy:
             '{"id": "c", "text": "w"}',
         ])
         table = score_corpus(corpus, Query(("w",)))
-        assert rank_by(table, Measure.F) == [0, 1, 2]
+        assert rank_by(table, "f") == [0, 1, 2]
 
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_scale_invariance(self, micro_table, factor):
         scaled = _scaled_table(micro_table, factor)
-        assert rank_by(scaled, Measure.F) == rank_by(micro_table, Measure.F)
+        assert rank_by(scaled, "f") == rank_by(micro_table, "f")
         np.testing.assert_allclose(scaled.f, micro_table.f, rtol=1e-12)
 
 
 class TestMutualSequence:
     def test_f_of_rank_q(self, micro_table):
-        seq = mutual_sequence(micro_table, Measure.Q, Measure.F, include_zero_scores=True)
+        seq = mutual_sequence(micro_table, "q", "f", include_zero_scores=True)
         np.testing.assert_allclose(seq, MICRO_MUTUAL_F_OF_Q, atol=1e-12)
 
     def test_q_of_rank_q_is_sorted(self, micro_table):
-        seq = mutual_sequence(micro_table, Measure.Q, Measure.Q, include_zero_scores=True)
+        seq = mutual_sequence(micro_table, "q", "q", include_zero_scores=True)
         np.testing.assert_allclose(seq, sorted(MICRO_Q, reverse=True), atol=1e-12)
         assert np.all(np.diff(seq) <= 0)
 
     def test_self_ranked_is_sorted_permutation(self, micro_table):
-        for m in (Measure.F, Measure.Q):
+        for m in ("f", "q"):
             seq = mutual_sequence(micro_table, m, m, include_zero_scores=True)
             np.testing.assert_allclose(
-                seq, np.sort(micro_table.scores(m))[::-1], atol=0
+                seq, np.sort(getattr(micro_table, m))[::-1], atol=0
             )
 
+    def test_q_of_rank_f(self, micro_table):
+        seq = mutual_sequence(micro_table, "f", "q", include_zero_scores=True)
+        np.testing.assert_allclose(seq, [MICRO_Q[2], MICRO_Q[0], MICRO_Q[1]], atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["F", "Q", "raw_f", "raw_q", "id", "ids", "zero_score", ""])
+    def test_unknown_measure_rejected(self, micro_table, name):
+        for args in ((name, "f"), ("q", name)):
+            with pytest.raises(RelevanceError,
+                               match=f"unknown measure '{name}': expected one of f, q"):
+                mutual_sequence(micro_table, *args, include_zero_scores=True)
+
     def test_length_matches_corpus(self, micro_table):
-        seq = mutual_sequence(micro_table, Measure.Q, Measure.F, include_zero_scores=True)
+        seq = mutual_sequence(micro_table, "q", "f", include_zero_scores=True)
         assert seq.size == 3
 
     def test_zero_score_exclusion(self):
@@ -206,11 +216,35 @@ class TestMutualSequence:
             '{"id": "b", "text": "none here"}',
         ])
         table = score_corpus(corpus, Query(("alpha",)))
-        full = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=True)
-        trimmed = mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=False)
+        full = mutual_sequence(table, "q", "f", include_zero_scores=True)
+        trimmed = mutual_sequence(table, "q", "f", include_zero_scores=False)
         assert full.size == 2
         assert trimmed.size == 1
         assert trimmed[0] == 1.0
+
+
+# Raw counts with ties and zeros, each with a raw Q from a few values (0 when the count is).
+_raw_scores = st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.5, 1.0, 1.5, 0.25])),
+                       min_size=1, max_size=12).filter(lambda rows: any(c for c, _ in rows))
+
+
+class TestAllDirections:
+    """mutual_sequence against a stable Python sort, in every direction."""
+
+    @pytest.mark.parametrize("include_zero", [False, True])
+    @pytest.mark.parametrize("read_off", ["f", "q"])
+    @pytest.mark.parametrize("ranked_by", ["f", "q"])
+    @given(rows=_raw_scores)
+    def test_matches_stable_sort(self, rows, include_zero, ranked_by, read_off):
+        raw_f = np.array([float(c) for c, _ in rows])
+        raw_q = np.array([q if c else 0.0 for c, q in rows])
+        table = RelevanceTable(tuple(f"d{i}" for i in range(len(rows))), raw_f, raw_q,
+                               raw_f / raw_f.max(), raw_q / raw_q.max())
+        key, read = getattr(table, ranked_by).tolist(), getattr(table, read_off).tolist()
+        order = sorted(range(len(rows)), key=lambda i: key[i], reverse=True)
+        want = [read[i] for i in order if include_zero or rows[i][0]]
+        got = mutual_sequence(table, ranked_by, read_off, include_zero_scores=include_zero)
+        assert got.tolist() == want
 
 
 class TestCsvRoundTrip:
@@ -260,5 +294,5 @@ class TestBruteForceOracle:
             assert table.ids == tuple(ids)
             assert table.f.tolist() == f
             assert table.q.tolist() == q
-            assert (mutual_sequence(table, Measure.Q, Measure.F, include_zero_scores=True).tolist()
+            assert (mutual_sequence(table, "q", "f", include_zero_scores=True).tolist()
                     == self.oracle.brute_force_mutual(ids, f, q))

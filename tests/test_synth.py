@@ -261,6 +261,21 @@ class TestPowerLawRanks:
             power_law_ranks(100, 1.0, 0.05, 7), power_law_ranks(100, 1.0, 0.05, 7)
         )
 
+    def test_inverse_ranks_are_quotients(self):
+        r = np.arange(1, 4097, dtype=float)
+        assert power_law_ranks(4096, 1.0, 0.0, 0).tolist() == (1.0 / r).tolist()
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            power_law_ranks(8, 1.0, 1e300, 0)
+
+    def test_bits_do_not_depend_on_the_simd_level(self):
+        script = ("import hashlib; from fracrank.synth import power_law_ranks as p; print(hashlib."
+                  "sha256(p(4096, 1.3, 0.0, 2).tobytes() + p(4096, 1.3, 0.5, 2).tobytes() + "
+                  "p(4096, 1.0, 0.5, 2).tobytes()).hexdigest())")
+        full, no_avx512, no_avx2 = run_at_simd_levels("-c", script)
+        assert full == no_avx512 == no_avx2
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: white_noise(1, 0), "length must be >= 2"),
