@@ -64,13 +64,16 @@ class Document:
 
 @dataclass(frozen=True)
 class Query:
-    """Ordered list of distinct lowercase query terms."""
+    """Ordered list of distinct lowercase query terms, each one that a token can equal."""
 
     terms: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.terms) < 1:
             raise CorpusError("query must contain at least one term")
+        for t in self.terms:  # no token holds whitespace or ASCII other than letters and digits
+            if not t or any(c.isspace() or c.isascii() and not c.isalnum() for c in t):
+                raise CorpusError(f"query term {t!r} can match no token")
         norm = tuple(t.lower() for t in self.terms)
         if len(set(norm)) != len(norm):
             raise CorpusError("query terms must be distinct after lowercasing")

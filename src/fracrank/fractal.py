@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from fracrank.table import format_table
+from fracrank.table import _libm, format_table
 
 
 class DegenerateSeriesError(ValueError):
@@ -126,11 +126,6 @@ def _window_list(windows, grid: tuple[int, int], lo: int, hi: int, rule: str) ->
     return windows
 
 
-def _log10(values) -> np.ndarray:
-    """log10 of each value by libm: np.log10's last bit depends on numpy's SIMD level."""
-    return np.array([math.log10(v) for v in values])
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """OLS slope, intercept and R^2 of y against x."""
     x_mean = x.mean()
@@ -182,7 +177,7 @@ def dfa(series, windows=None) -> FluctuationCurve:
         raise DegenerateSeriesError(f"values too {'large' if high > 1024 else 'small'}: "
                                     "D(n) outside the float range")
     d = np.ldexp(d, e)
-    alpha, _, r2 = _ols(_log10(windows.tolist()), _log10(d.tolist()))
+    alpha, _, r2 = _ols(_libm(math.log10, windows), _libm(math.log10, d))
     return FluctuationCurve(windows=windows, d=d, alpha=alpha, alpha_r2=r2)
 
 
@@ -277,7 +272,7 @@ def hurst_regression(series, windows=None) -> HurstResult:
         raise DegenerateSeriesError("insufficient scaling range: fewer than 4 usable windows")
     w_arr = np.asarray(used_w, dtype=float)
     m_arr = np.asarray(means)
-    h, _, r2 = _ols(_log10(used_w), _log10(means))
+    h, _, r2 = _ols(_libm(math.log10, w_arr), _libm(math.log10, m_arr))
     return HurstResult(
         h_regression=h,
         fractal_dim=2.0 - h,

@@ -12,24 +12,22 @@ in O(N log N) via the FFT. The embedding's first row is real and even and the
 weighted draws are Hermitian, so each of the two circulant transforms is one
 real FFT of 2N points, whose N + 1 complex coefficients hold the whole
 spectrum: ``rfft`` for the eigenvalues, ``irfft`` for the series.
-``synth --kind fgn --len 1048576`` peaks at ~112 MB RSS. The autocovariance
-takes its powers from ``math.pow`` and does the rest in IEEE arithmetic, so the
-fGn bits do not depend on the SIMD level that numpy dispatches to. ``fgn`` returns an array of its
-own holding just the N values, and keeps the square-rooted spectra of its last
-8 (length, H) pairs, 8 * (N + 1) bytes each; the series bits do not depend on
-this cache.
+``synth --kind fgn --len 1048576`` peaks at ~109 MB RSS. Every power and
+exponential comes from libm (``fracrank.table._libm``). ``fgn`` returns an array
+of its own holding just the N values, and keeps the square-rooted spectra of its
+last 8 (length, H) pairs, 8 * (N + 1) bytes each; the series bits do not depend
+on this cache.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
-from fracrank.table import format_table, read_table
+from fracrank.table import _libm, format_table, read_table
 
 
 # Lags per block in fgn_autocovariance, so that its temporaries stay near 1 MB.
@@ -57,11 +55,10 @@ def fgn_autocovariance(h: float, n: int) -> np.ndarray:
 
         gamma(k) = k^{2H} * sum_{j>=1} C(2H, 2j) k^{-2j},
 
-    whose terms share one sign: 30 of them below lag 64, 6 above. Every power is
-    one ``math.pow`` call, because numpy's transcendental functions round
-    differently at different SIMD levels; the rest is arithmetic that IEEE
-    rounds alike everywhere. The lags from 2 are taken in blocks of ``_BLOCK``,
-    so that the temporaries stay small beside the result.
+    whose terms share one sign: 30 of them below lag 64, 6 above. The powers come
+    from libm, and the rest is arithmetic that IEEE rounds alike everywhere. The
+    lags from 2 are taken in blocks of ``_BLOCK``, so that the temporaries stay
+    small beside the result.
     """
     a = 2.0 * h
     gamma = np.empty(n + 1)
@@ -74,7 +71,7 @@ def fgn_autocovariance(h: float, n: int) -> np.ndarray:
     for lo in range(2, n + 1, _BLOCK):
         kb = np.arange(lo, min(lo + _BLOCK, n + 1), dtype=float)
         gb = gamma[lo : lo + kb.size]
-        gb[:] = np.fromiter(map(math.pow, memoryview(kb), repeat(a)), float, kb.size)
+        gb[:] = _libm(math.pow, kb, a)
         u = 1.0 / (kb * kb)
         s = _even_series(coef[:6], u)
         near = max(0, 64 - lo)  # lags below 64
@@ -160,10 +157,9 @@ def power_law_ranks(length: int, beta: float, noise: float, seed: int) -> np.nda
     if noise < 0:
         raise SynthError("noise must be >= 0")
     rng = np.random.default_rng(seed)
-    # libm's powers and exps, as numpy's vary with the SIMD level; r^-1 is 1 / r, as r**-1 is.
-    r = range(1, length + 1)
-    pw = np.divide(1.0, r) if beta == 1.0 else np.fromiter(map(math.pow, r, repeat(-beta)), float)
-    vals = pw * np.fromiter(map(math.exp, (noise * rng.standard_normal(length)).tolist()), float)
+    r = np.arange(1, length + 1)  # r^-1 is 1 / r, as numpy's r**-1 is
+    pw = np.divide(1.0, r) if beta == 1.0 else _libm(math.pow, r, -beta)
+    vals = pw * _libm(math.exp, noise * rng.standard_normal(length))
     return np.sort(vals)[::-1]
 
 

@@ -43,6 +43,7 @@ import re
 import signal
 import stat
 import warnings
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -60,6 +61,13 @@ class TableError(ValueError):
 def as_written(x) -> float:
     """The float that a table cell or ``summary.json`` holds for ``x``: its 12 digits."""
     return float(f"{float(x):.12g}")
+
+
+def _libm(function, values, *args) -> np.ndarray:
+    """``function(v, *args)`` for every value, by a ``math`` (libm) function: numpy's
+    transcendental loops round differently at different SIMD levels, and libm does not."""
+    values = np.ascontiguousarray(values, dtype=float)
+    return np.fromiter(map(function, memoryview(values), *map(repeat, args)), float, values.size)
 
 
 def _quote(text: str) -> str:

@@ -36,10 +36,11 @@ from conftest import (
     assert_no_child_left,
     flat_sums_series,
     python_env,
+    run_at_simd_levels,
     run_python,
     write_table,
 )
-from test_corpus import GENERATED_QUERY, generated_case
+from test_corpus import GENERATED_QUERY, generated_case, generated_corpus
 
 
 @pytest.fixture
@@ -1168,6 +1169,42 @@ class TestProcess:
                 run_cli("analyze", "--series", series, "--grid", 0, "--out", out, code=2)
             assert list(out.glob(".*.csv.*")) == []
             assert tree(out) == before
+
+    def test_bundles_do_not_depend_on_the_simd_level(self, tmp_path):
+        """A power series and its analysis (Zipf fits, CDF map, occupancy, return map), the
+        micro corpus's scores, and a generated corpus's scores analyzed both ways hash alike
+        file by file with numpy's AVX-512 targets off, and with its AVX2 targets off too.
+
+        The micro corpus has too few documents to analyze, so the generated corpus is
+        analyzed instead. Each level runs in a fresh directory of its own, with the inputs
+        named by the same paths, so the manifests must match too.
+        """
+        corpus = tmp_path / "generated.jsonl"
+        corpus.write_text("".join(generated_corpus(4000, 0)), encoding="utf-8")
+        code = ("import hashlib, os, pathlib, sys, tempfile\n"
+                "from fracrank.cli import main\n"
+                "os.chdir(tempfile.mkdtemp(dir=sys.argv[1]))\n"
+                "for args in sys.argv[2:]:\n"
+                "    main(args.split('|'), standalone_mode=False)\n"
+                "for path in sorted(p for p in pathlib.Path().rglob('*') if p.is_file()):\n"
+                "    print(path, hashlib.sha256(path.read_bytes()).hexdigest())\n")
+        runs = ["synth|--kind|power|--len|16384|--beta|1.3|--noise|0.5|--seed|2|--out|power",
+                "analyze|--series|power/series.csv|--out|power_analysis",
+                f"score|--corpus|{MICRO_CORPUS}|--query|Alpha, beta alpha|--out|micro",
+                f"score|--corpus|{corpus}|--query|{GENERATED_QUERY}|--out|scores",
+                "analyze|--scores|scores/scores.csv|--out|q_f",
+                "analyze|--scores|scores/scores.csv|--ranked-by|f|--read-off|q|--out|f_q"]
+        full, no_avx512, no_avx2 = run_at_simd_levels("-c", code, tmp_path, *runs)
+        assert full == no_avx512 == no_avx2
+        assert len(full.splitlines()) == 2 + 6 + 3 + 3 + 6 + 6
+        # Each analysis reached the fits that the hashes are there to cover.
+        for name, mapped in (("power_analysis", True), ("q_f", False), ("f_q", False)):
+            summaries = list(tmp_path.glob(f"*/{name}/summary.json"))
+            assert len(summaries) == 3
+            for summary in summaries:
+                record = json.loads(summary.read_text())
+                assert record["poincare_cdf_mapped"] is mapped
+                assert "zipf_loglog_slope" in record, record
 
     def test_sigterm_leaves_out_as_it_was(self, tmp_path, fgn_bundle):
         """SIGTERM ends a run as an error does: exit 128 + 15, the writer child killed and

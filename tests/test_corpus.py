@@ -291,3 +291,23 @@ class TestQuery:
     def test_empty_rejected(self):
         with pytest.raises(CorpusError):
             Query(())
+
+    # No token holds whitespace or an ASCII character that is not a letter or digit,
+    # so such a term would silently score as if it were left out.
+    @pytest.mark.parametrize("term", ["", "a b", "a-b", "-a", "a_b"])
+    def test_term_no_token_can_equal_rejected(self, term):
+        with pytest.raises(CorpusError, match=f"query term {re.escape(repr(term))} can match"):
+            Query(("alpha", term))
+
+    # U+0307 splits text, but lowering "İ" makes it, so a token can hold it.
+    @pytest.mark.parametrize("term", ["Alpha", "ß", "İ", "i\u0307stanbul", "ǅ", "ΑΣ"])
+    def test_term_a_token_can_equal_accepted(self, term):
+        assert Query(("x", term)).terms == ("x", term.lower())
+
+    def test_from_string_terms_accepted(self):
+        assert Query.from_string("İstanbul").terms == ("i\u0307stanbul",)
+
+    @given(st.text())
+    def test_every_token_is_an_accepted_term(self, text):
+        for token in tokenize(text):
+            assert Query((token,)).terms == (token,)
