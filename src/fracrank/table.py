@@ -20,11 +20,11 @@ of the range, as for a power of ten) is formatted by "%.12g" itself, in one
 batch per chunk, and its text goes into the row as it is. So no cell can
 differ from "%.12g": it is either that text or built from digits proven equal
 to it. About 0.2% of an fGn series and 0.4% of its CDF map take the "%" path.
-Each cell is a fixed-width row of bytes with 0xFF in the places a value does
-not use (UTF-8 never holds 0xFF); one ``bytes.translate`` per chunk deletes
-them. At 2^20 values, ``sequence.csv`` and ``poincare.csv`` take about 0.33 s
-to format and write in process on a 2-vCPU VM, against about 0.8 s when every
-value went through "%".
+Each number's cell is a fixed-width row of bytes with 0xFF in the places its
+value does not use (no number's text holds 0xFF); one ``bytes.translate`` per
+chunk deletes them. At 2^20 values, ``sequence.csv`` and ``poincare.csv``
+take about 0.33 s to format and write in process on a 2-vCPU VM, against
+about 0.8 s when every value went through "%".
 
 A CLI run writes its files through the one ``Bundle`` that ``fracrank.cli._run``
 opens on ``--out``: each file goes to a temp file beside its target, and the
@@ -43,7 +43,7 @@ import re
 import signal
 import stat
 import warnings
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -76,12 +76,12 @@ def _quote(text: str) -> str:
     return text
 
 
-# A cell is a row of bytes that ends in a byte for its separator; the writer
-# deletes every 0xFF byte, which UTF-8 text never holds. A number's cell has a
+# A number's cell is a row of bytes that ends in a byte for its separator, with a
 # byte for each part that "%.12g" may write, in output order: a sign, the "0.000"
 # that leads a fixed-form value below 1, the 12 digits each followed by a point,
-# and an exponent; the parts it leaves out are 0xFF. A value whose digits are not
-# proven holds its "%.12g" text instead.
+# and an exponent. The parts it leaves out are 0xFF, which no number's text holds,
+# and the writer deletes them. A value whose digits are not proven holds its
+# "%.12g" text instead.
 _GAP = 0xFF
 _LEAD, _DIGITS, _EXP, _WIDTH = 1, 6, 30, 36
 # Decimal exponents x from -325 (zero) to 308, stored at x + 325.
@@ -170,16 +170,6 @@ def _number_cells(column: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _text_cells(fields: list[bytes]) -> np.ndarray:
-    """Encoded text fields as cells."""
-    lengths = np.fromiter(map(len, fields), np.intp, len(fields))
-    cells = np.array(fields, f"S{lengths.max() + 1}")  # an S array drops trailing NULs,
-    width = cells.itemsize  # so the lengths come from the fields
-    cells = cells.view(np.uint8).reshape(-1, width)
-    cells[np.arange(width) >= lengths[:, None]] = _GAP
-    return cells
-
-
 def _join(cells: list[np.ndarray]) -> str:
     """The rows of cells side by side, every 0xFF byte deleted.
 
@@ -192,25 +182,25 @@ def _join(cells: list[np.ndarray]) -> str:
     return out.tobytes().translate(None, b"\xff").decode("utf-8")
 
 
-# A text chunk's cells are as wide as its widest field: with long fields, a chunk
-# holds fewer rows so that it stays about this size.
-_TEXT_CHUNK_BYTES = 64 * CHUNK_ROWS
-
-
 def format_table(header: Sequence[str], columns: Sequence) -> Iterator[str]:
-    """The table as text chunks: the header line, then up to ``CHUNK_ROWS`` rows at a time.
+    """The table as text chunks: the header line, then ``CHUNK_ROWS`` rows at a time.
 
-    Numeric columns are numpy arrays; any other sequence is a text column.
+    Numeric columns are numpy arrays, and at least one column is numeric; any
+    other sequence is a text column of str. Text columns come first, as
+    ``read_table`` reads them back, and every column has the same length.
     """
+    if len({len(column) for column in columns}) > 1:
+        raise TableError(f"table columns differ in length: {[len(c) for c in columns]}")
     yield ",".join(header) + "\n"
-    columns = [column if isinstance(column, np.ndarray)
-               else [_quote(text).encode("utf-8") for text in column] for column in columns]
-    widest = max([len(field) for column in columns if isinstance(column, list)
-                  for field in column], default=1)
-    step = max(1, min(CHUNK_ROWS, _TEXT_CHUNK_BYTES // max(widest, 1)))
-    for lo in range(0, len(columns[0]), step):
-        yield _join([_number_cells(column[lo : lo + step]) if isinstance(column, np.ndarray)
-                     else _text_cells(column[lo : lo + step]) for column in columns])
+    texts = [column for column in columns if not isinstance(column, np.ndarray)]
+    numbers = columns[len(texts):]
+    for lo in range(0, len(columns[0]), CHUNK_ROWS):
+        rows = _join([_number_cells(column[lo : lo + CHUNK_ROWS]) for column in numbers])
+        if texts:  # each row's quoted fields, then its numbers' text
+            fields = [[_quote(text) + "," for text in column[lo : lo + CHUNK_ROWS]]
+                      for column in texts]
+            rows = "".join(chain.from_iterable(zip(*fields, rows.split("\n"), repeat("\n"))))
+        yield rows
 
 
 def format_pairs(header: Sequence[str], values: np.ndarray) -> Iterator[str]:

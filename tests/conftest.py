@@ -1,4 +1,3 @@
-import hashlib
 import importlib.util
 import json
 import math
@@ -134,14 +133,11 @@ def flat_sums_series():
 
 
 def estimator_digest(length: int) -> str:
-    """SHA-256 over fgn(length, 0.75, 7) and every output of dfa, hurst_regression and
-    hurst_pointwise on it, in the byte layout that scripts/estimator_speed.py prints."""
-    x = fgn(length, 0.75, 7)
-    curve, rs, (points, skipped) = dfa(x), hurst_regression(x), hurst_pointwise(x)
-    data = b"".join(np.asarray(part).tobytes() for part in (
-        x, curve.windows, curve.d, [curve.alpha, curve.alpha_r2], rs.rs_windows,
-        rs.rs_means, [rs.h_regression, rs.h_r2], points, np.array(skipped, dtype=np.int64)))
-    return hashlib.sha256(data).hexdigest()
+    """The SHA-256 that scripts/estimator_speed.py prints for fgn(length, 0.75, 7) and
+    every output of dfa, hurst_regression and hurst_pointwise on it."""
+    script = load_script("estimator_speed.py")
+    x = fgn(length, script.H, script.SEED)
+    return script.output_digest(x, dfa(x), hurst_regression(x), hurst_pointwise(x))
 
 
 def run_at_simd_levels(*args) -> list[str]:

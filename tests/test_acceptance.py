@@ -35,12 +35,8 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def _mc_means(target_h):
-    hs, alphas = [], []
-    for seed in range(N_SEEDS):
-        x = (white_noise(SERIES_LEN, seed) if target_h is None
-             else fgn(SERIES_LEN, target_h, seed))
-        hs.append(hurst_regression(x).h_regression)
-        alphas.append(dfa(x).alpha)
+    """Mean H and alpha over N_SEEDS series: white noise when target_h is 0.5."""
+    hs, alphas = load_script("estimator_recovery.py").estimates(target_h, N_SEEDS, SERIES_LEN)
     return float(np.mean(hs)), float(np.mean(alphas))
 
 
@@ -59,7 +55,7 @@ def test_estimator_recovery():
 
 
 def test_white_noise_baselines():
-    mean_h, mean_alpha = _mc_means(None)
+    mean_h, mean_alpha = _mc_means(0.5)
     ok = abs(mean_h - 0.5) <= 0.05 and abs(mean_alpha - 0.5) <= 0.05
     report("white-noise baselines (H and alpha = 0.50 +/- 0.05)", ok,
            f"hurst={mean_h:.4f}, alpha={mean_alpha:.4f}")

@@ -1111,18 +1111,30 @@ class TestProcess:
     """The CLI as a real process: its exit codes, stderr, forked writer child and files."""
 
     def test_analyze_never_imports_numpy_ma(self, tmp_path, fgn_bundle):
-        """numpy.ma costs ~10 ms to import, and a fresh analyze process needs none of it."""
+        """numpy.ma costs ~10 ms to import, and no command needs any of it in a fresh process."""
         code = ("import runpy, sys\n"
                 "try:\n"
                 "    runpy.run_module('fracrank.cli', run_name='__main__')\n"
                 "finally:\n"
                 "    print('numpy.ma imported:', 'numpy.ma' in sys.modules)\n")
+        lines, expected = generated_case()
         scores = tmp_path / "scores.csv"
-        scores.write_text(generated_case()[1], encoding="utf-8")
-        for option, path in (("--series", fgn_bundle / "sequence.csv"), ("--scores", scores)):
-            result = run_python("-c", code, "analyze", option, path, "--out", tmp_path / option)
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.splitlines()[-1] == "numpy.ma imported: False", result.stderr
+        scores.write_text(expected, encoding="utf-8")
+        corpus = tmp_path / "generated.jsonl"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        commands = [
+            ("analyze", "--series", fgn_bundle / "sequence.csv"),
+            ("analyze", "--scores", scores),
+            ("score", "--corpus", MICRO_CORPUS, "--query", "alpha beta"),
+            ("score", "--corpus", corpus, "--query", GENERATED_QUERY),
+            ("synth", "--kind", "fgn", "--h", "0.75", "--len", "4096"),
+            ("synth", "--kind", "power", "--beta", "1.2", "--len", "4096"),
+            ("rerun", fgn_bundle / "manifest.json"),
+        ]
+        for i, args in enumerate(commands):
+            result = run_python("-c", code, *args, "--out", tmp_path / f"out{i}")
+            assert result.returncode == 0, (args, result.stderr)
+            assert result.stdout.splitlines()[-1] == "numpy.ma imported: False", args
 
     @pytest.mark.parametrize("case", ["analyze_rerun", "flat_series_keeps_out",
                                       "grid_0_keeps_out", "one_value_no_fresh_out",

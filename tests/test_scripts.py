@@ -44,7 +44,7 @@ def test_table_speed_runs():
     result = run_script("table_speed.py", "--length", "4096", "--seed", "3", "--repeat", "1")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert [line.split()[0] for line in lines[2:5]] == ["fgn", "cdf", "wide"]
+    assert [line.split()[0] for line in lines[2:6]] == ["fgn", "cdf", "wide", "scores"]
     assert lines[-1] == "bytes identical"
 
 

@@ -18,7 +18,7 @@ from fracrank.table import (
     read_table,
 )
 
-from conftest import assert_no_child_left, write_table
+from conftest import assert_no_child_left, traced_peak, write_table
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e22, 1.7976931348623157e308, 1 / 3, -2 / 3,
                1.0, 7.0, -12.0, 123456789012.0, 1e-5, 0.1]
@@ -65,6 +65,14 @@ class TestWriterBytes:
         assert (tmp_path / "t.csv").read_bytes() == (
             b'id,v\nplain,0\n"a,b",1\n"say ""hi""",2\n"x\ny",3\n"cr\rlf",4\n spaced ,5\n')
         assert read_table(tmp_path / "t.csv", ("id", "v"), text_columns=1)[0] == ids
+
+    @pytest.mark.parametrize("columns", [
+        [np.arange(65536.0), np.arange(65540.0)],
+        [("d",) * CHUNK_ROWS, np.arange(65540.0)],
+    ], ids=["numbers", "ids"])
+    def test_columns_of_different_lengths_rejected(self, columns):
+        with pytest.raises(TableError, match=r"^table columns differ in length: \[65536, 65540\]$"):
+            list(format_table(("a", "b"), columns))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_and_no_file_left(self, tmp_path, bad):
@@ -150,13 +158,21 @@ class TestTextCells:
         text = "".join(format_table(("id", "v"), [self.IDS, x]))
         assert text.encode() == self.expected(self.IDS, x)
 
-    def test_long_id_shortens_the_chunks(self):
+    def test_long_id_keeps_the_chunks(self):
         ids = tuple(f"d{i}" for i in range(1000))
         ids = ids[:500] + ("x" * 100_000 + "\x00",) + ids[501:]
         x = np.arange(1000.0)
-        chunks = list(format_table(("id", "v"), [ids, x]))
-        assert len(chunks) > 3  # the header and more than two chunks of rows
+        chunks = []
+        peak = traced_peak(lambda: chunks.extend(format_table(("id", "v"), [ids, x])))
+        assert len(chunks) == 2  # the header and one chunk of rows
+        assert peak < 2 << 20  # no other id is padded to the long one's width
         assert "".join(chunks).encode() == self.expected(ids, x)
+
+    @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_ids_at_chunk_boundaries(self, n):
+        ids = tuple(f"d{i}" if i % 3 else f'"d,{i}"\r\n' for i in range(n))
+        x = np.random.default_rng(n).standard_normal(n)
+        assert "".join(format_table(("id", "v"), [ids, x])).encode() == self.expected(ids, x)
 
 
 ID_CHARS = st.characters(codec="utf-8")
