@@ -33,7 +33,7 @@ def output_digest(x, curve, rs, pointwise) -> str:
     """SHA-256 over the series and every estimator output, in a fixed byte layout."""
     points, skipped = pointwise
     parts = [x, curve.windows, curve.d, np.array([curve.alpha, curve.alpha_r2]),
-             rs.rs_windows, rs.rs_means, np.array([rs.h_regression, rs.h_r2]),
+             rs.rs_windows, rs.rs_means, np.array([rs.h_regression, rs.h_regression_r2]),
              points, np.array(skipped, dtype=np.int64)]
     return hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
 

@@ -10,19 +10,18 @@ renamed into place only once every one is written, so a failed or interrupted
 run (SIGTERM included) leaves ``--out`` as it was.
 ``analyze`` builds the return map first and then hands both of its large
 tables, ``sequence.csv`` and ``poincare.csv``, to one forked writer child
-(POSIX only), which writes them while the estimators run, so both CPUs of a
-2-vCPU machine stay busy: at 2^20 values the two tables take 0.33 s to format
-and write, DFA and R/S 0.27 s, and a run 0.75 s (0.94 s with no child). Tables
-use the one CSV dialect of ``fracrank.table`` and JSON rejects non-finite numbers.
+(POSIX only), which writes them while the estimators run, as formatting them
+costs about as much as DFA and R/S. Tables use the one CSV dialect of
+``fracrank.table`` and JSON rejects non-finite numbers.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import signal
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -59,27 +58,20 @@ from fracrank.table import Bundle, TableError, as_written, format_table, require
 OUT_ENV_VAR = "FRACRANK_OUT"
 
 
-# The generator kinds: every --kind spelling maps to (name in messages, the
-# options that kind requires, the other generator options it reads, the
-# generator call). The calls look the generators up when they run, so a
-# generator replaced on this module is used.
-_WHITE = ("white", (), ("seed",), lambda o: white_noise(o["length"], o["seed"]))
-_FGN = ("fgn", ("h",), ("seed",), lambda o: fgn(o["length"], o["h"], o["seed"]))
-_LINEAR = ("linear", ("slope", "intercept"), (),
-           lambda o: linear_trend(o["length"], o["slope"], o["intercept"]))
-_POWER = ("power", ("beta",), ("noise", "seed"),
-          lambda o: power_law_ranks(o["length"], o["beta"], o["noise"], o["seed"]))
+# Every --kind spelling names its generator; messages name a kind by its first
+# spelling. A kind reads the options named by its generator's parameters after
+# length, and requires those whose click option has no default. The generator is
+# looked up on this module when the command runs, so a replacement is used.
 _KINDS = {
-    "white": _WHITE,
-    "white_noise": _WHITE,
-    "fgn": _FGN,
-    "linear": _LINEAR,
-    "linear_trend": _LINEAR,
-    "power": _POWER,
-    "power_law_ranks": _POWER,
+    "white": "white_noise",
+    "white_noise": "white_noise",
+    "fgn": "fgn",
+    "linear": "linear_trend",
+    "linear_trend": "linear_trend",
+    "power": "power_law_ranks",
+    "power_law_ranks": "power_law_ranks",
 }
-# The options that only some kinds read; --len is accepted with every kind.
-_GENERATOR_OPTIONS = tuple(dict.fromkeys(o for kind in _KINDS.values() for o in kind[1] + kind[2]))
+_READS = {g: tuple(inspect.signature(globals()[g]).parameters)[1:] for g in _KINDS.values()}
 
 
 def _json(record: dict, indent: int | None = None) -> str:
@@ -130,6 +122,12 @@ def _estimate(name: str, estimator, values: np.ndarray, windows):
         raise click.ClickException(f"{name} failed: {exc}") from exc
 
 
+def _summary_fields(result, prefix: str = "") -> dict:
+    """A result's scalar fields as ``summary.json`` entries, each float as a table holds it."""
+    return {prefix + key: as_written(value) if isinstance(value, float) else value
+            for key, value in vars(result).items() if np.ndim(value) == 0}
+
+
 def run_analyze(options: dict, bundle: Bundle) -> None:
     values = _load_sequence(options)
     # The return map needs coordinates in [0,1]; rank-map anything else.
@@ -140,43 +138,36 @@ def run_analyze(options: dict, bundle: Bundle) -> None:
     curve = _estimate("dfa", dfa, values, options["dfa_windows"])
     hres = _estimate("hurst_regression", hurst_regression, values, options["rs_windows"])
     points, _ = hurst_pointwise(values)
-    summary = {
-        "n_values": int(values.size),
-        "alpha": curve.alpha,
-        "alpha_r2": curve.alpha_r2,
-        "h_regression": hres.h_regression,
-        "h_regression_r2": hres.h_r2,
-        "fractal_dim": hres.fractal_dim,
-        "poincare_cdf_mapped": cdf_mapped,
-        **asdict(occ),
-    }
+    summary = {"n_values": int(values.size), "poincare_cdf_mapped": cdf_mapped,
+               **_summary_fields(curve), **_summary_fields(hres), **_summary_fields(occ)}
     try:
-        zf = zipf_fit(values, trim_fraction=options["trim"])
-        summary.update((f"zipf_{key}", value) for key, value in asdict(zf).items())
+        summary.update(_summary_fields(zipf_fit(values, trim_fraction=options["trim"]), "zipf_"))
     except RankStatsError as exc:
         summary["zipf_error"] = str(exc)
-    summary = {k: as_written(v) if isinstance(v, float) else v for k, v in summary.items()}
     bundle.write("dfa.csv", curve.to_csv())
     bundle.write("hurst_pointwise.csv", format_table(("N", "h"), points.T))
     bundle.write("summary.json", [_json(summary)])
 
 
 def run_synth(options: dict, bundle: Bundle) -> None:
-    name, required, optional, generate = _KINDS[options["kind"]]
+    generator = _KINDS[options["kind"]]
+    name = next(kind for kind, g in _KINDS.items() if g == generator)
+    reads = _READS[generator]
+    defaults = {param.name: param.default for param in synth.params}
+    required = [option for option in reads if defaults[option] is None]
     if any(options[option] is None for option in required):
         flags = " and ".join(f"--{option}" for option in required)
         raise click.UsageError(f"--kind {name} requires {flags}")
     # An option that this kind does not read must be left out or at its default
     # (as --noise 0.0 is in every manifest), so a manifest records no setting
-    # that had no effect.
-    defaults = {param.name: param.default for param in synth.params}
-    for option in _GENERATOR_OPTIONS:
-        if option not in required + optional and options[option] not in (None, defaults[option]):
+    # that had no effect. --len is read by every kind.
+    for option in dict.fromkeys(sum(_READS.values(), ())):
+        if option not in reads and options[option] not in (None, defaults[option]):
             raise click.UsageError(f"--kind {name} does not read --{option}")
     overflow = click.UsageError(f"--kind {name} overflows: the series has a non-finite value")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-            values = generate(options)
+            values = globals()[generator](options["length"], *(options[o] for o in reads))
     except SynthError as exc:
         raise click.UsageError(str(exc)) from exc
     except OverflowError as exc:  # raised by math.exp (power), where numpy gives an inf
@@ -296,12 +287,13 @@ def analyze(out, **options):
 @click.option("--kind", required=True, type=click.Choice(list(_KINDS)))
 @click.option("--len", "length", required=True, type=click.IntRange(min=2))
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
-@click.option("--h", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+@click.option("--h", type=click.FloatRange(0, 1, min_open=True, max_open=True), default=None,
               help="Target Hurst index for fgn.")
-@click.option("--beta", type=click.FloatRange(min=0, min_open=True), help="Power-law exponent.")
+@click.option("--beta", type=click.FloatRange(min=0, min_open=True), default=None,
+              help="Power-law exponent.")
 @click.option("--noise", type=click.FloatRange(min=0), default=0.0, show_default=True)
-@click.option("--slope", type=float)
-@click.option("--intercept", type=float)
+@click.option("--slope", type=float, default=None)
+@click.option("--intercept", type=float, default=None)
 @_out_option
 def synth(out, **options):
     """Generate a deterministic synthetic series; writes series.csv."""

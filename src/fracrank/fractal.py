@@ -72,7 +72,7 @@ class HurstResult:
     fractal_dim: float
     rs_windows: np.ndarray
     rs_means: np.ndarray
-    h_r2: float
+    h_regression_r2: float
 
 
 def _line_fit(xc: np.ndarray, xc_ss: float, x_mean: float,
@@ -251,7 +251,7 @@ def hurst_regression(series, windows=None) -> HurstResult:
     For each block size w the R/S statistic is averaged over the floor(N/w)
     non-overlapping blocks, leaving out constant blocks and blocks with R == 0;
     a window with no usable block is dropped. H is the OLS slope of
-    log(mean R/S) vs log(w), and h_r2 the R^2 of that fit.
+    log(mean R/S) vs log(w), and h_regression_r2 the R^2 of that fit.
     """
     x = _series(series, 64, "hurst_regression", "R/S")[0]
     # Blocks shorter than 16 carry a strong small-sample upward bias in R/S
@@ -278,5 +278,5 @@ def hurst_regression(series, windows=None) -> HurstResult:
         fractal_dim=2.0 - h,
         rs_windows=w_arr,
         rs_means=m_arr,
-        h_r2=r2,
+        h_regression_r2=r2,
     )

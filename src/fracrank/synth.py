@@ -90,13 +90,13 @@ def _even_series(coef: list[float], u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _sqrt_spectrum(n: int, target_h: float) -> np.ndarray:
+def _sqrt_spectrum(n: int, h: float) -> np.ndarray:
     """sqrt of eig[0], eig[1:n] / 2 and eig[n] of the 2n circulant embedding.
 
     These depend only on (n, H), so they are computed once per pair; the array
     is read-only because every later call shares it.
     """
-    gamma = fgn_autocovariance(target_h, n)
+    gamma = fgn_autocovariance(h, n)
     # The first row, gamma(0..n) then gamma(n-1..1), is real and even, so its
     # eigenvalues are the real parts of its real FFT, eig[0..n].
     row = np.concatenate((gamma, gamma[-2:0:-1]))
@@ -112,23 +112,23 @@ def _sqrt_spectrum(n: int, target_h: float) -> np.ndarray:
     return roots
 
 
-def fgn(length: int, target_h: float, seed: int) -> np.ndarray:
+def fgn(length: int, h: float, seed: int) -> np.ndarray:
     """Fractional Gaussian noise by circulant embedding of the exact autocovariance.
 
-    ``length`` must be a power of two >= 64 and 0 < target_h < 1. The fGn
+    ``length`` must be a power of two >= 64 and 0 < h < 1. The fGn
     covariance always embeds positively; the eigenvalue guard stays as a
     defensive check. Davies-Harte weights N + 1 real and N - 1 imaginary
     Gaussian draws w_k by the spectrum's roots; the series is the 2N-point FFT
     of their Hermitian extension over sqrt(2N). That FFT is 2N times the
     inverse real FFT of the N + 1 conjugates conj(w_k).
     """
-    if not 0.0 < target_h < 1.0:
-        raise SynthError("target_h must lie strictly between 0 and 1")
+    if not 0.0 < h < 1.0:
+        raise SynthError("h must lie strictly between 0 and 1")
     if length < 64 or (length & (length - 1)) != 0:
         raise SynthError("length must be a power of two >= 64")
     n = length
     m = 2 * n
-    roots = _sqrt_spectrum(n, float(target_h))
+    roots = _sqrt_spectrum(n, float(h))
     rng = np.random.default_rng(seed)
     c = np.zeros(n + 1, dtype=complex)
     c.real = rng.standard_normal(n + 1)

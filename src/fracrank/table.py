@@ -22,9 +22,7 @@ differ from "%.12g": it is either that text or built from digits proven equal
 to it. About 0.2% of an fGn series and 0.4% of its CDF map take the "%" path.
 Each number's cell is a fixed-width row of bytes with 0xFF in the places its
 value does not use (no number's text holds 0xFF); one ``bytes.translate`` per
-chunk deletes them. At 2^20 values, ``sequence.csv`` and ``poincare.csv``
-take about 0.33 s to format and write in process on a 2-vCPU VM, against
-about 0.8 s when every value went through "%".
+chunk deletes them.
 
 A CLI run writes its files through the one ``Bundle`` that ``fracrank.cli._run``
 opens on ``--out``: each file goes to a temp file beside its target, and the
@@ -70,10 +68,11 @@ def _libm(function, values, *args) -> np.ndarray:
     return np.fromiter(map(function, memoryview(values), *map(repeat, args)), float, values.size)
 
 
-def _quote(text: str) -> str:
-    if _NEEDS_QUOTES.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _fields(texts: Sequence[str]) -> list[str]:
+    """Each text and its comma, quoted only if it needs it; one search clears a plain chunk."""
+    if _NEEDS_QUOTES.search("".join(texts)):
+        texts = ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
+    return [text + "," for text in texts]
 
 
 # A number's cell is a row of bytes that ends in a byte for its separator, with a
@@ -197,8 +196,7 @@ def format_table(header: Sequence[str], columns: Sequence) -> Iterator[str]:
     for lo in range(0, len(columns[0]), CHUNK_ROWS):
         rows = _join([_number_cells(column[lo : lo + CHUNK_ROWS]) for column in numbers])
         if texts:  # each row's quoted fields, then its numbers' text
-            fields = [[_quote(text) + "," for text in column[lo : lo + CHUNK_ROWS]]
-                      for column in texts]
+            fields = [_fields(column[lo : lo + CHUNK_ROWS]) for column in texts]
             rows = "".join(chain.from_iterable(zip(*fields, rows.split("\n"), repeat("\n"))))
         yield rows
 

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracrank.rankstats
 import fracrank.table
@@ -26,7 +29,7 @@ from fracrank.synth import (
     white_noise,
     write_series_csv,
 )
-from fracrank.table import CHUNK_ROWS
+from fracrank.table import CHUNK_ROWS, read_table
 
 from conftest import (
     MICRO_CORPUS,
@@ -1260,3 +1263,62 @@ class TestProcess:
         assert proc.returncode == 128 + signal.SIGTERM, stderr
         assert "Traceback" not in stderr, stderr
         assert not out.exists()
+
+
+def _strict_constant(name):
+    raise ValueError(f"non-finite {name} in summary.json")
+
+
+@st.composite
+def series_tables(draw) -> str:
+    """A --series table's text: a shape at a threshold length, scaled by
+    2^k (non-finite values become 0), with or without a header and a blank line."""
+    n = draw(st.sampled_from([1, 2, 15, 16, 17, 63, 64, 65, 200, 256, 512, 1000, 1024, 4096]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.sampled_from([
+        lambda: rng.standard_normal(n),
+        lambda: np.full(n, draw(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e300]))),
+        lambda: rng.integers(0, 3, n).astype(float),  # three-level ties
+        lambda: rng.choice([0.0, -0.0], n),
+        lambda: np.repeat(rng.standard_normal(n // 16 + 1), 16)[:n],  # steps
+    ]))()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.ldexp(x, draw(st.integers(-1000, 1000)))
+    x[~np.isfinite(x)] = 0.0
+    lines = [repr(v) for v in x.tolist()]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if draw(st.booleans()):
+        lines.insert(0, "value")
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(series_tables())
+def test_analyze_any_series_exits_cleanly_and_reruns(text):
+    """Every --series table ends in a bundle that reads back and reruns byte for byte, or
+    in exit 1 or 2 with --out as it was; never in a traceback."""
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "series.csv").write_text(text)
+        out = tmp / "out"
+        out.mkdir()
+        (out / "summary.json").write_text("stale\n")
+        (out / "keep.txt").write_text("kept\n")
+        before = read_dir(out)
+        result = runner.invoke(main, ["analyze", "--series", str(tmp / "series.csv"),
+                                      "--out", str(out)])
+        assert result.exit_code in (0, 1, 2), result.output
+        assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+        assert "Traceback" not in result.output
+        if result.exit_code != 0:
+            assert read_dir(out) == before
+            return
+        json.loads((out / "summary.json").read_text(), parse_constant=_strict_constant)
+        for name, header in (("sequence.csv", ("value",)), ("dfa.csv", ("n", "d")),
+                             ("poincare.csv", ("x", "y"))):
+            read_table(out / name, header)
+        again = tmp / "again"
+        run_ok(runner, ["rerun", str(out / "manifest.json"), "--out", str(again)])
+        assert read_dir(again) == {k: v for k, v in read_dir(out).items() if k != "keep.txt"}

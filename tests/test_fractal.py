@@ -528,7 +528,7 @@ def scale_free_outputs(estimator, x, scale):
         return np.concatenate([curve.windows, curve.d / scale, [curve.alpha, curve.alpha_r2]])
     if estimator is hurst_regression:
         r = hurst_regression(y)
-        return np.concatenate([r.rs_windows, r.rs_means, [r.h_regression, r.h_r2]])
+        return np.concatenate([r.rs_windows, r.rs_means, [r.h_regression, r.h_regression_r2]])
     if estimator is hurst_pointwise:
         points, skipped = hurst_pointwise(y)
         return np.concatenate([points.ravel(), skipped])
@@ -784,7 +784,7 @@ class TestHurstRegression:
 
     def test_fit_r2_reported(self):
         r = hurst_regression(fgn(8192, 0.8, 0))
-        assert 0.9 < r.h_r2 <= 1.0
+        assert 0.9 < r.h_regression_r2 <= 1.0
 
     @pytest.mark.parametrize("bad", [0, -16, 1, 257])
     def test_window_bounds_enforced(self, bad):

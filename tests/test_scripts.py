@@ -11,8 +11,10 @@ import math
 import subprocess
 
 import numpy as np
+from click.testing import CliRunner
 
 from fracrank import fractal
+from fracrank.cli import main
 from fracrank.synth import white_noise
 
 from conftest import MICRO_MUTUAL_F_OF_Q, ROOT, estimator_digest, load_script, run_python
@@ -106,3 +108,32 @@ def test_benchmark_rs_counters_count_pointwise_prefixes():
     assert len(skipped) == 7
     assert metrics[tracing.RS_CALLS] == 20
     assert metrics[tracing.RS_DEGENERATE] == len(skipped)
+
+
+def test_benchmark_spans_are_fed_by_the_cli(tmp_path):
+    """The CLI calls what the benchmark's tracer wraps: a generator bound when the
+    module is imported, not looked up when it runs, would leave synth.fgn_s at 0."""
+    rng = np.random.default_rng(3)
+    words = np.array(["alpha", "beta", "gamma", "delta"])
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{i}", "text": " ".join(rng.choice(words, rng.integers(5, 50)))}) + "\n"
+        for i in range(300)))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    runner = CliRunner()
+    gen, sc = f"{tmp_path}/gen", f"{tmp_path}/sc"
+    try:
+        tracer.install()
+        for args in (["synth", "--kind", "fgn", "--h", "0.7", "--len", "4096", "--out", gen],
+                     ["analyze", "--series", f"{gen}/series.csv", "--out", f"{tmp_path}/a1"],
+                     ["score", "--corpus", str(corpus), "--query", "alpha beta", "--out", sc],
+                     ["analyze", "--scores", f"{sc}/scores.csv", "--out", f"{tmp_path}/a2"]):
+            result = runner.invoke(main, args, catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracer.take()
+    assert tracer.absent == set()
+    assert [m for m in tracing.TIME_METRICS if not metrics[m] > 0] == []
+    assert metrics["corpus.docs"] == 300

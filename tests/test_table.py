@@ -18,26 +18,20 @@ from fracrank.table import (
     read_table,
 )
 
-from conftest import assert_no_child_left, traced_peak, write_table
+from conftest import assert_no_child_left, load_script, traced_peak, write_table
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e22, 1.7976931348623157e308, 1 / 3, -2 / 3,
                1.0, 7.0, -12.0, 123456789012.0, 1e-5, 0.1]
 
 
-def oracle_column(values) -> bytes:
-    """The series format as the per-row f-string writer produced it."""
-    return ("\n".join(["value"] + [f"{float(v):.12g}" for v in values]) + "\n").encode()
-
-
-def oracle_pairs(values) -> bytes:
-    rows = [f"{x:.12g},{y:.12g}" for x, y in zip(values[:-1], values[1:])]
-    return ("\n".join(["x,y"] + rows) + "\n").encode()
+TABLE_SPEED = load_script("table_speed.py")  # its "%.12g" oracles
 
 
 class TestWriterBytes:
     def test_edge_values(self, tmp_path):
         write_table(tmp_path / "t.csv", format_table(("value",), [np.array(EDGE_VALUES)]))
-        assert (tmp_path / "t.csv").read_bytes() == oracle_column(EDGE_VALUES)
+        assert (tmp_path / "t.csv").read_bytes() == TABLE_SPEED.oracle_column(
+            np.array(EDGE_VALUES)).encode()
 
     def test_integer_column(self, tmp_path):
         n = np.array([4, 16, 1024, 1048576])
@@ -51,13 +45,13 @@ class TestWriterBytes:
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         write_table(tmp_path / "t.csv", format_table(("value",), [x]))
-        assert (tmp_path / "t.csv").read_bytes() == oracle_column(x)
+        assert (tmp_path / "t.csv").read_bytes() == TABLE_SPEED.oracle_column(x).encode()
 
     @pytest.mark.parametrize("n", [2, 3, CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + 2])
     def test_pairs_chunk_boundary(self, tmp_path, n):
         x = np.random.default_rng(n).random(n)
         write_table(tmp_path / "p.csv", format_pairs(("x", "y"), x))
-        assert (tmp_path / "p.csv").read_bytes() == oracle_pairs(x)
+        assert (tmp_path / "p.csv").read_bytes() == TABLE_SPEED.oracle_pairs(x).encode()
 
     def test_ids_quoted_only_when_needed(self, tmp_path):
         ids = ("plain", "a,b", 'say "hi"', "x\ny", "cr\rlf", " spaced ")
@@ -168,9 +162,13 @@ class TestTextCells:
         assert peak < 2 << 20  # no other id is padded to the long one's width
         assert "".join(chunks).encode() == self.expected(ids, x)
 
-    @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
-    def test_ids_at_chunk_boundaries(self, n):
+    @pytest.mark.parametrize("n, last_only", [
+        pytest.param(n, False, id=str(n)) for n in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
+    ] + [pytest.param(CHUNK_ROWS + 1, True, id=f"{CHUNK_ROWS + 1}-last-only")])
+    def test_ids_at_chunk_boundaries(self, n, last_only):
         ids = tuple(f"d{i}" if i % 3 else f'"d,{i}"\r\n' for i in range(n))
+        if last_only:  # only the last id needs quotes: a plain chunk, then a quoted one
+            ids = tuple(f"d{i}" for i in range(n - 1)) + ('"d,last"\r\n',)
         x = np.random.default_rng(n).standard_normal(n)
         assert "".join(format_table(("id", "v"), [ids, x])).encode() == self.expected(ids, x)
 
@@ -215,7 +213,7 @@ class TestBundle:
             bundle.write("small.csv", ["small\n"])
             assert all(p.name.startswith(".") for p in tmp_path.iterdir())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "p.csv", "small.csv"]
-        assert (tmp_path / "big.csv").read_bytes() == oracle_column(x)
+        assert (tmp_path / "big.csv").read_bytes() == TABLE_SPEED.oracle_column(x).encode()
         assert (tmp_path / "small.csv").read_text() == "small\n"
 
     def test_error_removes_what_it_made(self, tmp_path):
